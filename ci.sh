@@ -46,13 +46,16 @@ go test ./...
 
 # Allocation budgets for the protocol hot paths: the multicast→deliver
 # cycle, wire encode/decode, the pooled writer, the TCP transport's
-# enqueue/flush and pooled-read paths, the flight recorder (which must
-# journal an event with zero allocations), and the leased local read. A
+# enqueue/flush and pooled-read paths, the mux's no-copy frame send and
+# memnet's link queue, the flight recorder (which must journal an event
+# with zero allocations) and the tracer's span ring, the leased local
+# read and the client read, the typed invocation decode, and the whole
+# open-group round trip (client plus three replicas, per reply mode). A
 # regression back to per-message maps, per-attempt sorting, per-encode
 # buffers or per-frame read buffers fails here long before it would show
 # up in a benchmark.
 echo "== alloc budgets =="
-go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./internal/transport/tcpnet/ ./internal/obs/flight/
+go test -run AllocGuard ./internal/gcs/ ./internal/core/ ./internal/wire/ ./internal/transport/... ./internal/obs/...
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "ci: CI_SHORT=1, skipping the race pass"

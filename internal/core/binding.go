@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,8 +103,11 @@ type Binding struct {
 	// their session floor to it — that is read-your-writes across
 	// replicas.
 	sessStamp vclock.Stamp
-	// readIdx/readPickAt rotate leased and stale reads across replicas:
-	// the favourite advances every cfg.ReadRenew.
+	// readPool is the sorted replica pool reads choose from, rebuilt on
+	// every view change rather than per read (see refreshReadPoolLocked).
+	// readIdx/readPickAt rotate leased and stale reads across it: the
+	// favourite advances every cfg.ReadRenew.
+	readPool   []ids.ProcessID
 	readIdx    int
 	readPickAt time.Time
 
@@ -186,6 +191,7 @@ func (s *Service) Bind(ctx context.Context, cfg BindConfig) (*Binding, error) {
 		return nil, err
 	}
 	b.view = group.View() // seed the cache; onView keeps it current
+	b.refreshReadPoolLocked()
 	go b.clientLoop()
 	return b, nil
 }
@@ -222,6 +228,7 @@ func (s *Service) bindClosed(ctx context.Context, cfg BindConfig, members []ids.
 		loopDone:  make(chan struct{}),
 	}
 	b.view = group.View()
+	b.refreshReadPoolLocked()
 	go b.clientLoop()
 	return b, nil
 }
@@ -366,6 +373,8 @@ func (b *Binding) clientLoop() {
 	// membership judgements only start at the fully-formed view observed
 	// by awaitFormation.
 	formedSeq := b.group.View().Seq
+	in := ids.NewInterner()
+	var env envelope
 	for ev := range b.group.Events() {
 		if ev.Type == gcs.EventView && ev.View.Seq < formedSeq {
 			continue
@@ -375,13 +384,10 @@ func (b *Binding) clientLoop() {
 			if ev.Deliver.Sender == me {
 				continue
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
+			if decodePayload(ev.Deliver.Payload, &env, in) != nil || env.kind != payloadReplySet {
 				continue
 			}
-			if set, ok := msg.(*invReplySet); ok {
-				b.svc.routeReplySet(set)
-			}
+			b.svc.routeReplySet(env.set.Call, gatherSet(&env.set, b.noteStamp))
 		case gcs.EventView:
 			b.onView(ev.View)
 		}
@@ -399,6 +405,7 @@ func (b *Binding) onView(v *gcs.View) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.view = v.Clone()
+	b.refreshReadPoolLocked()
 	switch b.cfg.Style {
 	case Open:
 		if !v.Contains(b.rm) {
@@ -494,9 +501,22 @@ func (b *Binding) Read(ctx context.Context, method string, args []byte, opts ...
 		Depth: 0,
 		Start: start,
 		Dur:   time.Since(start),
-		Note:  "consistency=" + cons.String(),
+		Note:  consistencyNote(cons),
 	})
 	return payload, err
+}
+
+// consistencyNote is the client.read span note for one consistency.
+func consistencyNote(c Consistency) string {
+	switch c {
+	case Linearizable:
+		return "consistency=linearizable"
+	case Leased:
+		return "consistency=leased"
+	case Stale:
+		return "consistency=stale"
+	}
+	return "consistency=" + c.String()
 }
 
 // readOnce encodes the request once and tries each candidate replica in
@@ -514,13 +534,14 @@ func (b *Binding) readOnce(ctx context.Context, cons Consistency, method string,
 		MinStamp:    min,
 		Trace:       trace,
 	})
-	targets := b.readTargets(cons)
-	if len(targets) == 0 {
+	pool, first := b.readTargets(cons)
+	if len(pool) == 0 {
 		return nil, true, ErrNoServers
 	}
 	var lastErr error
 	leaseRefused := false
-	for _, t := range targets {
+	for i := range pool {
+		t := pool[(first+i)%len(pool)]
 		raw, cerr := b.svc.invokeControl(ctx, t, "read", req)
 		if cerr != nil {
 			if ctx.Err() != nil {
@@ -556,49 +577,62 @@ func (b *Binding) readOnce(ctx context.Context, cons Consistency, method string,
 	return nil, false, lastErr
 }
 
-// readTargets orders the candidate replicas for one read. Reads are
-// point-to-point, so the pool is the whole server group — not the
+// refreshReadPoolLocked rebuilds the sorted replica pool reads choose
+// from (b.mu held; called at bind time and on every view change). Reads
+// are point-to-point, so the pool is the whole server group — not the
 // client/server group, which for an open binding holds only the request
-// manager. Linearizable reads go lowest-identifier first (that member is
-// the sequencer, the only replica that can serve them without a redirect);
-// leased and stale reads rotate, advancing the favourite every ReadRenew.
-func (b *Binding) readTargets(cons Consistency) []ids.ProcessID {
+// manager. A closed binding filters its bind-time membership by the live
+// view, falling back to the bind-time membership when that leaves none.
+// The pool is replaced, never modified, so readers may keep a snapshot.
+func (b *Binding) refreshReadPoolLocked() {
 	var pool []ids.ProcessID
 	if b.cfg.Style == Closed {
-		pool = b.Servers() // bind-time membership filtered by the live view
+		me := b.svc.ID()
+		for _, m := range b.sgMembers {
+			if m != me && b.view.Contains(m) {
+				pool = append(pool, m)
+			}
+		}
 	}
 	if len(pool) == 0 {
 		pool = b.KnownServers()
 	}
-	pool = ids.SortProcesses(pool)
-	if cons == Linearizable || len(pool) < 2 {
-		return pool
-	}
+	b.readPool = ids.SortProcesses(pool)
+}
+
+// readTargets returns the replica pool for one read and the position to
+// start from; the caller tries pool[(first+i)%len(pool)] in turn.
+// Linearizable reads go lowest-identifier first (that member is the
+// sequencer, the only replica that can serve them without a redirect);
+// leased and stale reads rotate, advancing the favourite every ReadRenew.
+func (b *Binding) readTargets(cons Consistency) (pool []ids.ProcessID, first int) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	pool = b.readPool
+	if cons == Linearizable || len(pool) < 2 {
+		return pool, 0
+	}
 	now := time.Now()
 	if b.readPickAt.IsZero() || now.Sub(b.readPickAt) >= b.cfg.ReadRenew {
 		b.readIdx++
 		b.readPickAt = now
 	}
-	first := b.readIdx % len(pool)
-	b.mu.Unlock()
-	out := make([]ids.ProcessID, 0, len(pool))
-	for i := 0; i < len(pool); i++ {
-		out = append(out, pool[(first+i)%len(pool)])
-	}
-	return out
+	return pool, b.readIdx % len(pool)
 }
 
 // Call performs one invocation and blocks for the mode's reply quorum
-// (Invoker surface). It is InvokeAsync awaited immediately, so it
-// occupies one window slot for its duration.
+// (Invoker surface). It is InvokeAsync awaited in place, without the
+// future: it occupies one window slot for its duration, and the reply
+// wait runs on the caller's goroutine.
 func (b *Binding) Call(ctx context.Context, method string, args []byte, opts ...CallOption) ([]Reply, error) {
-	c, err := b.InvokeAsync(ctx, method, args, opts...)
-	if err != nil {
+	o := resolveCallOpts(opts)
+	w, start, err := b.launch(ctx, method, args, &o)
+	if err != nil || w == nil {
 		return nil, err
 	}
-	defer c.Cancel()
-	return c.Await(ctx)
+	replies, err := b.await(ctx, w, o.mode)
+	b.finish(&o, start, err)
+	return replies, err
 }
 
 // InvokeAsync launches one invocation and returns its future. The
@@ -609,6 +643,29 @@ func (b *Binding) Call(ctx context.Context, method string, args []byte, opts ...
 // pipelining backpressure.
 func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, opts ...CallOption) (*Call, error) {
 	o := resolveCallOpts(opts)
+	w, start, err := b.launch(ctx, method, args, &o)
+	if err != nil {
+		return nil, err
+	}
+	c := newCallFuture(o.call, o.mode, ctx)
+	if w == nil {
+		c.complete(nil, nil)
+		return c, nil
+	}
+	go func() {
+		replies, err := b.await(c.ctx, w, o.mode)
+		b.finish(&o, start, err)
+		c.complete(replies, err)
+	}()
+	return c, nil
+}
+
+// launch is the first half of Call and InvokeAsync: it fills the call
+// identifier and trace, takes a window slot, registers the reply waiter
+// and multicasts the request. It returns the waiter, or nil once a
+// one-way call is on the wire (complete: nothing to wait for). On error
+// everything it took is released and the call is recorded as failed.
+func (b *Binding) launch(ctx context.Context, method string, args []byte, o *callOpts) (*callWaiter, time.Time, error) {
 	if !o.hasCall {
 		o.call = b.svc.newCall()
 	}
@@ -619,11 +676,11 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, ErrClosed
+		return nil, time.Time{}, ErrClosed
 	}
 	if b.broken {
 		b.mu.Unlock()
-		return nil, ErrBindingBroken
+		return nil, time.Time{}, ErrBindingBroken
 	}
 	b.mu.Unlock()
 
@@ -631,15 +688,17 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 	select {
 	case b.window <- struct{}{}:
 	case <-b.brokenCh:
-		return nil, ErrBindingBroken
+		return nil, time.Time{}, ErrBindingBroken
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, time.Time{}, ctx.Err()
 	}
-	release := func() { <-b.window }
 	b.svc.metrics.asyncCalls.Inc()
 	b.svc.metrics.asyncInflightHigh.SetMax(int64(len(b.window)))
 
-	w := b.svc.registerWaiter(o.call)
+	var w *callWaiter
+	if o.mode != OneWay {
+		w = b.svc.registerWaiter(o.call, b.cfg.Style == Closed)
+	}
 	// Keep the group's failure detection alive while we wait: an idle
 	// event-driven group would otherwise never notice a request manager
 	// that died after the request stabilised but before replying.
@@ -647,7 +706,7 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 
 	b.svc.frRecord(flight.EvCallStart, uint64(o.trace), uint64(o.mode), 0)
 	start := time.Now()
-	req := &invRequest{
+	req := invRequest{
 		Call:   o.call,
 		Mode:   o.mode,
 		Method: method,
@@ -657,107 +716,95 @@ func (b *Binding) InvokeAsync(ctx context.Context, method string, args []byte, o
 		Trace:  uint64(o.trace),
 		SentAt: start.UnixNano(),
 	}
-	record := func() {
-		d := time.Since(start)
-		b.svc.metrics.invokeHist(o.mode).Observe(d)
-		b.svc.obs.Tracer.Record(obs.Span{
-			Trace: o.trace,
-			Stage: "client.invoke",
-			Proc:  string(b.svc.ID()),
-			Depth: 0,
-			Start: start,
-			Dur:   d,
-			Note:  "mode=" + o.mode.String() + " style=" + b.cfg.Style.String(),
-		})
-	}
-	if err := b.group.Multicast(ctx, encodeRequest(req)); err != nil {
-		b.group.Unattend()
-		b.svc.dropWaiter(o.call)
-		release()
-		record()
-		b.svc.frRecord(flight.EvCallDone, uint64(o.trace), 1, 0)
+	if err := b.group.Multicast(ctx, encodeRequest(&req)); err != nil {
+		b.finish(o, start, err)
 		if errors.Is(err, gcs.ErrLeft) {
-			return nil, ErrBindingBroken
+			return nil, start, ErrBindingBroken
 		}
-		return nil, err
+		return nil, start, err
 	}
-
-	c := newCallFuture(o.call, o.mode, ctx)
-	if o.mode == OneWay {
-		b.group.Unattend()
-		b.svc.dropWaiter(o.call)
-		release()
-		record()
-		b.svc.frRecord(flight.EvCallDone, uint64(o.trace), 0, 0)
-		c.complete(nil, nil)
-		return c, nil
+	if w == nil {
+		b.finish(o, start, nil)
 	}
-	go func() {
-		defer func() {
-			b.group.Unattend()
-			b.svc.dropWaiter(o.call)
-			release()
-		}()
-		var replies []Reply
-		var err error
-		if b.cfg.Style == Open {
-			replies, err = b.awaitReplySet(c.ctx, w)
-		} else {
-			replies, err = b.awaitDirectReplies(c.ctx, w, o.mode)
-		}
-		if errors.Is(err, context.Canceled) {
-			b.svc.metrics.asyncCancelled.Inc()
-		}
-		record()
-		var failed uint64
-		if err != nil {
-			failed = 1
-		}
-		b.svc.frRecord(flight.EvCallDone, uint64(o.trace), failed, 0)
-		c.complete(replies, err)
-	}()
-	return c, nil
+	return w, start, nil
 }
 
-// awaitReplySet waits for the request manager's aggregated answer.
-func (b *Binding) awaitReplySet(ctx context.Context, w *callWaiter) ([]Reply, error) {
-	select {
-	case set := <-w.set:
-		if set.Err != "" {
-			return nil, fmt.Errorf("core: request manager: %s", set.Err)
-		}
-		out := make([]Reply, 0, len(set.Replies))
-		for _, rep := range set.Replies {
-			b.noteStamp(rep.Stamp)
-			out = append(out, rep.toReply())
-		}
-		if len(out) == 0 {
-			return nil, errors.New("core: empty reply set")
-		}
-		return out, nil
-	case <-b.brokenCh:
-		return nil, ErrBindingBroken
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// await gathers one call's replies: the request manager's aggregated set
+// (open), or per-server direct replies up to the mode's quorum (closed).
+func (b *Binding) await(ctx context.Context, w *callWaiter, mode ReplyMode) ([]Reply, error) {
+	if b.cfg.Style == Open {
+		return awaitSet(ctx, w, b.brokenCh)
 	}
+	return b.awaitDirectReplies(ctx, w, mode)
+}
+
+// finish releases what launch took — the group's attention, the waiter
+// (recycled for a later call) and the window slot — and records the
+// call's latency, span and journal event.
+func (b *Binding) finish(o *callOpts, start time.Time, err error) {
+	b.group.Unattend()
+	if o.mode != OneWay {
+		b.svc.dropWaiter(o.call)
+	}
+	<-b.window
+	if errors.Is(err, context.Canceled) {
+		b.svc.metrics.asyncCancelled.Inc()
+	}
+	d := time.Since(start)
+	b.svc.metrics.invokeHist(o.mode).Observe(d)
+	b.svc.obs.Tracer.Record(obs.Span{
+		Trace: o.trace,
+		Stage: "client.invoke",
+		Proc:  string(b.svc.ID()),
+		Depth: 0,
+		Start: start,
+		Dur:   d,
+		Note:  invokeNote(o.mode, b.cfg.Style),
+	})
+	var failed uint64
+	if err != nil {
+		failed = 1
+	}
+	b.svc.frRecord(flight.EvCallDone, uint64(o.trace), failed, 0)
+}
+
+// invokeNotes holds the client.invoke span note of every reply mode and
+// style, built once so recording a call builds no strings.
+var invokeNotes = func() (notes [All + 1][Open + 1]string) {
+	for m := OneWay; m <= All; m++ {
+		for st := Closed; st <= Open; st++ {
+			notes[m][st] = "mode=" + m.String() + " style=" + st.String()
+		}
+	}
+	return notes
+}()
+
+// invokeNote is the client.invoke span note for one call.
+func invokeNote(m ReplyMode, st Style) string {
+	if m >= OneWay && m <= All && st >= Closed && st <= Open {
+		return invokeNotes[m][st]
+	}
+	return "mode=" + m.String() + " style=" + st.String()
 }
 
 // awaitDirectReplies gathers closed-style per-server replies until the
-// mode's quorum against the live membership is met.
+// mode's quorum against the live membership is met. A server's later
+// reply replaces its earlier one; the result is sorted by server.
 func (b *Binding) awaitDirectReplies(ctx context.Context, w *callWaiter, mode ReplyMode) ([]Reply, error) {
-	got := make(map[ids.ProcessID]invReply)
+	var got []invReply
 	for {
 		if len(got) >= mode.need(len(b.Servers())) && len(got) > 0 {
+			slices.SortFunc(got, func(x, y invReply) int { return cmp.Compare(x.Server, y.Server) })
 			out := make([]Reply, 0, len(got))
-			for _, srv := range ids.SortProcesses(keysOf(got)) {
-				out = append(out, got[srv].toReply())
+			for _, rep := range got {
+				out = append(out, rep.toReply())
 			}
 			return out, nil
 		}
 		select {
 		case rep := <-w.replies:
 			b.noteStamp(rep.Stamp)
-			got[rep.Server] = rep
+			got = putByServer(got, rep)
 		case <-b.viewCh:
 			// membership changed: quorum size re-evaluates
 		case <-b.brokenCh:
@@ -768,10 +815,14 @@ func (b *Binding) awaitDirectReplies(ctx context.Context, w *callWaiter, mode Re
 	}
 }
 
-func keysOf(m map[ids.ProcessID]invReply) []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// putByServer adds a server's reply to a gathered set, replacing an
+// earlier reply from the same server.
+func putByServer(got []invReply, rep invReply) []invReply {
+	for i := range got {
+		if got[i].Server == rep.Server {
+			got[i] = rep
+			return got
+		}
 	}
-	return out
+	return append(got, rep)
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,5 +138,57 @@ func TestClientCrashReleasesServerSideBinding(t *testing.T) {
 			t.Fatalf("request manager never released binding group %s", csGroup)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestProxyConcurrentCallsAcrossRMCrash puts two calls in flight through
+// one proxy as its request manager crashes. Both must finish well under
+// BindTimeout: they share a single rebind, and that rebind skips the
+// crashed manager even though it is the configured contact. A caller
+// that started its own rebind after the other had cleared the binding
+// would have lost track of the failed manager, tried the dead contact
+// first and waited out a whole BindTimeout.
+func TestProxyConcurrentCallsAcrossRMCrash(t *testing.T) {
+	w := newWorld(t, 3, 1)
+	cfg := w.bindCfg(core.Open)
+	cfg.Contact = "s02"
+	cfg.BindTimeout = 5 * time.Second
+	p, err := w.clients[0].NewProxy(ctxT(t, 15*time.Second), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Call(ctxT(t, 10*time.Second), "echo", []byte("warm"), core.WithMode(core.First)); err != nil {
+		t.Fatal(err)
+	}
+	rm := p.Binding().RequestManager()
+	if rm != "s02" {
+		t.Fatalf("bound through %s, want the configured contact s02", rm)
+	}
+	w.net.Sim().Crash(rm)
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	took := make([]time.Duration, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = p.Call(ctxT(t, 30*time.Second), "echo", []byte(fmt.Sprint(i)), core.WithMode(core.First))
+			took[i] = time.Since(start)
+		}()
+	}
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		if took[i] >= cfg.BindTimeout/2 {
+			t.Fatalf("call %d took %v across the crash; a rebind should not wait on the dead contact (BindTimeout %v)", i, took[i], cfg.BindTimeout)
+		}
+	}
+	if now := p.Binding().RequestManager(); now == rm {
+		t.Fatalf("rebound to the crashed manager %s", rm)
 	}
 }

@@ -41,7 +41,8 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(fullRef.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodePayload(data)
+		var env envelope
+		_ = decodePayload(data, &env, nil)
 		_, _ = decodeBindRequest(data)
 		_, _ = decodeStateSnapshot(data)
 		_, _ = DecodeGroupRef(data)

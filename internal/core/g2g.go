@@ -154,6 +154,8 @@ func (g *G2G) Close() error {
 func (g *G2G) loop() {
 	defer close(g.loopDone)
 	formedSeq := g.group.View().Seq
+	in := ids.NewInterner()
+	var env envelope
 	for ev := range g.group.Events() {
 		if ev.Type == gcs.EventView && ev.View.Seq < formedSeq {
 			continue
@@ -163,13 +165,10 @@ func (g *G2G) loop() {
 			if ev.Deliver.Sender != g.rm {
 				continue // sibling members' duplicate requests
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
+			if decodePayload(ev.Deliver.Payload, &env, in) != nil || env.kind != payloadReplySet {
 				continue
 			}
-			if set, ok := msg.(*invReplySet); ok {
-				g.svc.routeReplySet(set)
-			}
+			g.svc.routeReplySet(env.set.Call, gatherSet(&env.set, g.noteStamp))
 		case gcs.EventView:
 			if !ev.View.Contains(g.rm) {
 				g.mu.Lock()
@@ -321,7 +320,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 		o.trace = obs.DeriveTraceID("g2g/"+string(g.group.ID()), call.Number)
 	}
 	g.svc.metrics.asyncCalls.Inc()
-	w := g.svc.registerWaiter(call)
+	w := g.svc.registerWaiter(call, false)
 	g.group.Attend()
 
 	start := time.Now()
@@ -345,7 +344,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 			Depth: 0,
 			Start: start,
 			Dur:   d,
-			Note:  "mode=" + o.mode.String() + " style=g2g",
+			Note:  g2gNote(o.mode),
 		})
 	}
 	if err := g.group.Multicast(ctx, encodeRequest(req)); err != nil {
@@ -371,7 +370,7 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 			g.group.Unattend()
 			g.svc.dropWaiter(call)
 		}()
-		replies, err := g.awaitSet(c.ctx, w)
+		replies, err := awaitSet(c.ctx, w, g.brokenCh)
 		if errors.Is(err, context.Canceled) {
 			g.svc.metrics.asyncCancelled.Inc()
 		}
@@ -381,25 +380,17 @@ func (g *G2G) InvokeAsync(ctx context.Context, method string, args []byte, opts 
 	return c, nil
 }
 
-// awaitSet waits for the request manager's aggregated answer.
-func (g *G2G) awaitSet(ctx context.Context, w *callWaiter) ([]Reply, error) {
-	select {
-	case set := <-w.set:
-		if set.Err != "" {
-			return nil, fmt.Errorf("core: request manager: %s", set.Err)
-		}
-		out := make([]Reply, 0, len(set.Replies))
-		for _, rep := range set.Replies {
-			g.noteStamp(rep.Stamp)
-			out = append(out, rep.toReply())
-		}
-		if len(out) == 0 {
-			return nil, errors.New("core: empty reply set")
-		}
-		return out, nil
-	case <-g.brokenCh:
-		return nil, ErrBindingBroken
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// g2gNote is the client.invoke span note of a group-to-group call.
+func g2gNote(m ReplyMode) string {
+	switch m {
+	case OneWay:
+		return "mode=one-way style=g2g"
+	case First:
+		return "mode=wait-for-first style=g2g"
+	case Majority:
+		return "mode=wait-for-majority style=g2g"
+	case All:
+		return "mode=wait-for-all style=g2g"
 	}
+	return "mode=" + m.String() + " style=g2g"
 }

@@ -115,13 +115,32 @@ type callOpts struct {
 }
 
 // CallOption configures one invocation (see WithMode, WithCallID,
-// WithTrace).
-type CallOption func(*callOpts)
+// WithTrace). An option is a plain value naming the one field it sets,
+// not a closure: resolving options then neither allocates a closure per
+// option nor forces the resolved set to the heap, which an indirect call
+// through a func option would.
+type CallOption struct {
+	field optField
+	v     callOpts // only the field named by field is meaningful
+}
+
+// optField names the callOpts field one CallOption sets.
+type optField uint8
+
+const (
+	optMode optField = iota + 1
+	optCall
+	optTrace
+	optConsistency
+	optMaxStale
+	optMinStamp
+	optKey
+)
 
 // WithMode selects the reply mode (one-way, wait-for-first,
 // wait-for-majority, wait-for-all). The default is First.
 func WithMode(m ReplyMode) CallOption {
-	return func(o *callOpts) { o.mode = m }
+	return CallOption{field: optMode, v: callOpts{mode: m}}
 }
 
 // WithCallID pins the invocation's call identifier instead of allocating
@@ -131,19 +150,19 @@ func WithMode(m ReplyMode) CallOption {
 // number every client-group member must share; the Client component is
 // overridden with the monitor group's identity.
 func WithCallID(id ids.CallID) CallOption {
-	return func(o *callOpts) { o.call = id; o.hasCall = true }
+	return CallOption{field: optCall, v: callOpts{call: id}}
 }
 
 // WithTrace threads an explicit trace identifier through the invocation
 // instead of allocating (Binding/Proxy) or deriving (G2G) one.
 func WithTrace(t obs.TraceID) CallOption {
-	return func(o *callOpts) { o.trace = t }
+	return CallOption{field: optTrace, v: callOpts{trace: t}}
 }
 
 // WithConsistency selects the consistency of one Read (Linearizable,
 // Leased or Stale), overriding the binding's configured default.
 func WithConsistency(c Consistency) CallOption {
-	return func(o *callOpts) { o.consistency = c }
+	return CallOption{field: optConsistency, v: callOpts{consistency: c}}
 }
 
 // WithMaxStaleness tightens a Leased read's staleness bound for this call
@@ -151,7 +170,7 @@ func WithConsistency(c Consistency) CallOption {
 // than d (it can never loosen the configured lease bound). Ignored by
 // Linearizable and Stale reads.
 func WithMaxStaleness(d time.Duration) CallOption {
-	return func(o *callOpts) { o.maxStale = d }
+	return CallOption{field: optMaxStale, v: callOpts{maxStale: d}}
 }
 
 // WithKey pins the routing key of one invocation on a sharded binding:
@@ -159,7 +178,7 @@ func WithMaxStaleness(d time.Duration) CallOption {
 // bypassing the binding's configured key extractor. Single-group invokers
 // (Binding, Proxy, G2G) ignore it.
 func WithKey(key string) CallOption {
-	return func(o *callOpts) { o.key = key; o.hasKey = true }
+	return CallOption{field: optKey, v: callOpts{key: key}}
 }
 
 // WithMinStamp overrides the read's session floor: the serving replica
@@ -169,14 +188,30 @@ func WithKey(key string) CallOption {
 // read-your-writes across replicas; passing an explicit stamp threads a
 // token between bindings or processes. The zero stamp waives the floor.
 func WithMinStamp(s vclock.Stamp) CallOption {
-	return func(o *callOpts) { o.minStamp = s; o.hasMin = true }
+	return CallOption{field: optMinStamp, v: callOpts{minStamp: s}}
 }
 
 // resolveCallOpts folds the options over the defaults.
 func resolveCallOpts(opts []CallOption) callOpts {
 	o := callOpts{mode: First}
-	for _, opt := range opts {
-		opt(&o)
+	for i := range opts {
+		opt := &opts[i]
+		switch opt.field {
+		case optMode:
+			o.mode = opt.v.mode
+		case optCall:
+			o.call, o.hasCall = opt.v.call, true
+		case optTrace:
+			o.trace = opt.v.trace
+		case optConsistency:
+			o.consistency = opt.v.consistency
+		case optMaxStale:
+			o.maxStale = opt.v.maxStale
+		case optMinStamp:
+			o.minStamp, o.hasMin = opt.v.minStamp, true
+		case optKey:
+			o.key, o.hasKey = opt.v.key, true
+		}
 	}
 	return o
 }

@@ -22,10 +22,25 @@ type Proxy struct {
 
 	mu      sync.Mutex
 	binding *Binding
-	// members is the most recent server-group membership, used to pick a
-	// new contact when the old one has failed.
+	// members is every server-group member this proxy has learned of,
+	// newest membership first, used to pick a new contact when the old
+	// one has failed. Older members are kept because a contact can answer
+	// with a view that has shrunk to itself (a survivor that split from
+	// the others during a view change); the others are still alive and
+	// worth trying when that contact fails too.
 	members []ids.ProcessID
-	closed  bool
+	// failed remembers every request manager whose binding broke under
+	// this proxy; rebinds try them only after every other candidate.
+	failed map[ids.ProcessID]bool
+	// rebinding is non-nil while a rebind is in flight and closed when it
+	// ends, with its outcome in binding or rebindErr. A caller that finds
+	// the binding broken waits for the rebind in flight instead of
+	// starting its own (single flight): a second rebind would tear down
+	// the first one's fresh binding, and the caller would have lost track
+	// of the failed manager it must avoid.
+	rebinding chan struct{}
+	rebindErr error
+	closed    bool
 }
 
 // maxRebinds bounds the rebind attempts of a single invocation.
@@ -33,10 +48,12 @@ const maxRebinds = 4
 
 // NewProxy binds once and returns the self-rebinding proxy.
 func (s *Service) NewProxy(ctx context.Context, cfg BindConfig) (*Proxy, error) {
-	p := &Proxy{svc: s, cfg: cfg}
-	if err := p.rebind(ctx, ""); err != nil {
+	p := &Proxy{svc: s, cfg: cfg, failed: make(map[ids.ProcessID]bool)}
+	b, err := p.rebind(ctx, nil)
+	if err != nil {
 		return nil, err
 	}
+	p.binding = b
 	return p, nil
 }
 
@@ -111,26 +128,15 @@ func (p *Proxy) resolveProxyOpts(opts []CallOption) callOpts {
 func (p *Proxy) callResolved(ctx context.Context, method string, args []byte, o callOpts) ([]Reply, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxRebinds; attempt++ {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		b := p.binding
-		p.mu.Unlock()
-
-		if b == nil || b.Broken() {
-			var avoid ids.ProcessID
-			if b != nil {
-				avoid = b.RequestManager()
+		b, err := p.healthy(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			if err := p.rebind(ctx, avoid); err != nil {
-				lastErr = err
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				continue
+			if errors.Is(err, ErrClosed) {
+				return nil, err
 			}
+			lastErr = err
 			continue
 		}
 
@@ -156,26 +162,15 @@ func (p *Proxy) callResolved(ctx context.Context, method string, args []byte, o 
 func (p *Proxy) Read(ctx context.Context, method string, args []byte, opts ...CallOption) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxRebinds; attempt++ {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
-		}
-		b := p.binding
-		p.mu.Unlock()
-
-		if b == nil || b.Broken() {
-			var avoid ids.ProcessID
-			if b != nil {
-				avoid = b.RequestManager()
+		b, err := p.healthy(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			if err := p.rebind(ctx, avoid); err != nil {
-				lastErr = err
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				continue
+			if errors.Is(err, ErrClosed) {
+				return nil, err
 			}
+			lastErr = err
 			continue
 		}
 
@@ -203,14 +198,77 @@ func (p *Proxy) SessionStamp() vclock.Stamp {
 	return b.SessionStamp()
 }
 
-// rebind forms a fresh binding, avoiding the failed request manager.
-func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
+// maxKnownMembers bounds how many server-group members a proxy remembers.
+const maxKnownMembers = 64
+
+// mergeMembers returns the latest membership followed by the members of
+// older ones it lacks, capped at maxKnownMembers.
+func mergeMembers(latest, older []ids.ProcessID) []ids.ProcessID {
+	out := latest
+	for _, m := range older {
+		if len(out) >= maxKnownMembers {
+			break
+		}
+		if !ids.ContainsProcess(out, m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// healthy returns the current binding if it is intact. Otherwise it
+// rebinds once — leading a new rebind, or waiting for the one already in
+// flight — and returns the outcome. The broken binding's request manager
+// joins the failed set before the rebind starts.
+func (p *Proxy) healthy(ctx context.Context) (*Binding, error) {
 	p.mu.Lock()
-	old := p.binding
+	if p.closed {
+		p.mu.Unlock()
+		return nil, ErrClosed
+	}
+	b := p.binding
+	if b != nil && !b.Broken() {
+		p.mu.Unlock()
+		return b, nil
+	}
+	if wait := p.rebinding; wait != nil {
+		p.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.closed {
+			return nil, ErrClosed
+		}
+		if p.binding != nil {
+			return p.binding, nil
+		}
+		return nil, p.rebindErr
+	}
+	done := make(chan struct{})
+	p.rebinding = done
 	p.binding = nil
-	candidates := make([]ids.ProcessID, len(p.members))
-	copy(candidates, p.members)
+	if b != nil {
+		p.failed[b.RequestManager()] = true
+	}
 	p.mu.Unlock()
+
+	nb, err := p.rebind(ctx, b)
+
+	p.mu.Lock()
+	p.binding, p.rebindErr, p.rebinding = nb, err, nil
+	p.mu.Unlock()
+	close(done)
+	return nb, err
+}
+
+// rebind forms a fresh binding to replace old (nil for the first bind),
+// trying the configured contact and the known membership before any
+// request manager that has failed under this proxy.
+func (p *Proxy) rebind(ctx context.Context, old *Binding) (*Binding, error) {
 	var session vclock.Stamp
 	if old != nil {
 		// Only re-binds count — the initial NewProxy bind is not a failure.
@@ -219,17 +277,24 @@ func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
 		_ = old.Close()
 	}
 
-	// Contact order: configured contact first, then the last known
-	// membership, skipping the member we believe failed.
-	contacts := make([]ids.ProcessID, 0, len(candidates)+1)
-	if !p.cfg.Contact.Nil() && p.cfg.Contact != avoid {
-		contacts = append(contacts, p.cfg.Contact)
-	}
-	for _, m := range candidates {
-		if m != avoid && !ids.ContainsProcess(contacts, m) {
-			contacts = append(contacts, m)
+	p.mu.Lock()
+	var healthy, failed []ids.ProcessID
+	add := func(m ids.ProcessID) {
+		if m.Nil() || ids.ContainsProcess(healthy, m) || ids.ContainsProcess(failed, m) {
+			return
+		}
+		if p.failed[m] {
+			failed = append(failed, m)
+		} else {
+			healthy = append(healthy, m)
 		}
 	}
+	add(p.cfg.Contact)
+	for _, m := range p.members {
+		add(m)
+	}
+	contacts := append(healthy, failed...)
+	p.mu.Unlock()
 	if len(contacts) == 0 {
 		contacts = append(contacts, p.cfg.Contact)
 	}
@@ -238,7 +303,7 @@ func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
 	for _, contact := range contacts {
 		cfg := p.cfg
 		cfg.Contact = contact
-		if cfg.Restricted && avoid != "" {
+		if cfg.Restricted && old != nil {
 			// The restricted request manager just failed: fall back to
 			// an arbitrary surviving member until the group elects a new
 			// leader, rather than re-binding to the corpse.
@@ -249,25 +314,32 @@ func (p *Proxy) rebind(ctx context.Context, avoid ids.ProcessID) error {
 			lastErr = err
 			continue
 		}
-		if cfg.Style == Open && b.RequestManager() == avoid {
+		rm := b.RequestManager()
+		p.mu.Lock()
+		landedOnFailed := p.failed[rm] && rm != contact
+		p.mu.Unlock()
+		if cfg.Style == Open && landedOnFailed {
+			// The contact's membership still lists a failed manager and
+			// the bind chose it; a failed contact tried as a last resort
+			// is taken at its word instead.
 			_ = b.Close()
-			lastErr = fmt.Errorf("core: rebind landed on failed manager %s", avoid)
+			lastErr = fmt.Errorf("core: rebind landed on failed manager %s", rm)
 			continue
 		}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			_ = b.Close()
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		b.noteStamp(session) // read-your-writes survives the rebind
-		p.binding = b
-		p.members = b.KnownServers()
+		p.members = mergeMembers(b.KnownServers(), p.members)
+		delete(p.failed, rm) // it answered: no longer presumed failed
 		p.mu.Unlock()
-		return nil
+		return b, nil
 	}
 	if lastErr == nil {
 		lastErr = ErrNoServers
 	}
-	return fmt.Errorf("core: rebind: %w", lastErr)
+	return nil, fmt.Errorf("core: rebind: %w", lastErr)
 }

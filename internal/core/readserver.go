@@ -56,7 +56,7 @@ func (srv *Server) serveRead(req *readRequest) *readReply {
 				Depth: 3,
 				Start: start,
 				Dur:   time.Since(start),
-				Note:  "consistency=" + req.Consistency.String(),
+				Note:  consistencyNote(req.Consistency),
 			})
 		}
 	} else {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -15,7 +17,9 @@ import (
 
 // Handler implements the replicated application object hosted by a server
 // group member. Invocations are executed in delivery (total) order, one at
-// a time, so deterministic handlers keep replicas consistent.
+// a time, so deterministic handlers keep replicas consistent. args alias
+// the delivered message, which in-process replicas may share: a handler
+// may keep them but must not modify them.
 type Handler func(method string, args []byte) ([]byte, error)
 
 // ServeConfig configures one member of a server group.
@@ -60,16 +64,26 @@ type Server struct {
 	execMu   sync.Mutex
 	replies  *replyCache  // executed calls: exactly-once across retries
 	lastExec vclock.Stamp // total-order position of the last execution
+	// notes caches the replica.execute span note per method name
+	// (execMu held), so executions build no strings.
+	notes map[string]string
+
+	// in and env are handleGroupEvent's decode state. The group's events
+	// reach it one at a time (a single dispatch worker per group, or the
+	// replica's event loop), so they need no lock.
+	in  *ids.Interner
+	env envelope
 
 	mu         sync.Mutex
 	roster     map[ids.ProcessID]bool // fellow servers (hello ∩ view)
 	lastView   int                    // size of the previously observed view
 	collectors map[ids.CallID]*collector
-	sets       map[ids.CallID]*invReplySet // request-manager answers, for retries
-	setOrder   []ids.CallID
+	spare      []*collector          // recycled collectors
+	sets       map[ids.CallID][]byte // request-manager answers as multicast, for retries
+	setOrder   callRing              // eviction order of sets
 	bindings   map[ids.GroupID]*gcs.Group
 	seen       map[ids.CallID]bool // monitor-group duplicate filter
-	seenOrder  []ids.CallID
+	seenOrder  callRing            // eviction order of seen
 	closed     bool
 
 	loopDone chan struct{}
@@ -117,11 +131,15 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 		group:      group,
 		rmWait:     cfg.RMWait,
 		replies:    newReplyCache(cacheCap),
+		notes:      make(map[string]string),
+		in:         ids.NewInterner(),
 		roster:     map[ids.ProcessID]bool{s.ID(): true},
 		collectors: make(map[ids.CallID]*collector),
-		sets:       make(map[ids.CallID]*invReplySet),
+		sets:       make(map[ids.CallID][]byte),
+		setOrder:   callRing{cap: cacheCap},
 		bindings:   make(map[ids.GroupID]*gcs.Group),
 		seen:       make(map[ids.CallID]bool),
+		seenOrder:  callRing{cap: cacheCap},
 		loopDone:   make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -161,6 +179,9 @@ func (s *Service) serve(ctx context.Context, cfg ServeConfig, replica bool) (*Se
 	// Announce ourselves so the existing members add us to the server
 	// roster (and, via their re-announcements, we learn them).
 	_ = group.Multicast(ctx, encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
+	if !cfg.Contact.Nil() {
+		srv.learnRoster(ctx, cfg.Contact)
+	}
 	if replica {
 		select {
 		case err := <-ready:
@@ -202,6 +223,28 @@ func (srv *Server) ServerRoster() []ids.ProcessID {
 		out = append(out, p)
 	}
 	return ids.SortProcesses(out)
+}
+
+// learnRoster seeds a joining member's roster from the contact's, so it
+// answers "info" with the whole server group from the start rather than
+// with itself alone until the older members' re-announcements arrive —
+// a client binding through a fresh member would otherwise learn a
+// one-server membership and have no one to rebind to when it fails.
+// Entries outside the current view are skipped; re-announcements and
+// view changes keep the roster current from here on.
+func (srv *Server) learnRoster(ctx context.Context, contact ids.ProcessID) {
+	members, err := srv.svc.ServerGroupMembers(ctx, contact, srv.cfg.Group)
+	if err != nil {
+		return // the re-announcements still converge the roster
+	}
+	v := srv.group.View()
+	srv.mu.Lock()
+	for _, m := range members {
+		if v.Contains(m) {
+			srv.roster[m] = true
+		}
+	}
+	srv.mu.Unlock()
 }
 
 // GroupView returns the server group's current view.
@@ -277,11 +320,11 @@ func (srv *Server) groupLoop(ready chan<- error) {
 func (srv *Server) handleGroupEvent(ev gcs.Event) {
 	switch ev.Type {
 	case gcs.EventDeliver:
-		msg, err := decodePayload(ev.Deliver.Payload)
-		if err == nil {
-			switch m := msg.(type) {
-			case *invRequest:
-				switch {
+		env := &srv.env
+		if decodePayload(ev.Deliver.Payload, env, srv.in) == nil {
+			switch env.kind {
+			case payloadRequest:
+				switch m := &env.req; {
 				case m.Forwarded:
 					srv.serveForwarded(m, ev.Deliver.Stamp)
 				case m.Style == Closed:
@@ -290,9 +333,9 @@ func (srv *Server) handleGroupEvent(ev gcs.Event) {
 					// to it (fig. 3(i)).
 					srv.serveClosed(m, ev.Deliver.Stamp)
 				}
-			case *invReply:
-				srv.collectReply(*m)
-			case helloMsg:
+			case payloadReply:
+				srv.collectReply(env.rep)
+			case payloadHello:
 				srv.mu.Lock()
 				srv.roster[ev.Deliver.Sender] = true
 				srv.mu.Unlock()
@@ -361,9 +404,25 @@ func (srv *Server) executeOnce(call ids.CallID, method string, args []byte, stam
 		Depth: 3,
 		Start: start,
 		Dur:   d,
-		Note:  "method=" + method,
+		Note:  srv.methodNoteLocked(method),
 	})
 	return rep, true
+}
+
+// maxMethodNotes bounds the per-method span-note cache.
+const maxMethodNotes = 256
+
+// methodNoteLocked returns the replica.execute span note of one method
+// (execMu held), building it only the first time the method is seen.
+func (srv *Server) methodNoteLocked(method string) string {
+	if n, ok := srv.notes[method]; ok {
+		return n
+	}
+	n := "method=" + method
+	if len(srv.notes) < maxMethodNotes {
+		srv.notes[method] = n
+	}
+	return n
 }
 
 // collectReply routes a server-group reply to the collector gathering it.
@@ -386,19 +445,19 @@ func (srv *Server) collectReply(rep invReply) {
 	}
 	srv.mu.Lock()
 	c := srv.collectors[rep.Call]
+	n := len(srv.roster)
 	srv.mu.Unlock()
 	if c != nil {
-		c.add(rep, srv.need(c.mode))
+		c.add(rep, n)
 	}
 }
 
-// need computes the reply quorum for a mode against the live server
-// roster (closed clients in the view never reply).
-func (srv *Server) need(mode ReplyMode) int {
+// rosterSize is the number of live servers a reply quorum is computed
+// against (closed clients in the view never reply).
+func (srv *Server) rosterSize() int {
 	srv.mu.Lock()
-	n := len(srv.roster)
-	srv.mu.Unlock()
-	return mode.need(n)
+	defer srv.mu.Unlock()
+	return len(srv.roster)
 }
 
 // onGroupView intersects the roster with the new view, re-announces when
@@ -423,8 +482,9 @@ func (srv *Server) onGroupView(v *gcs.View) {
 	if grew && !closed {
 		_ = srv.group.Multicast(context.Background(), encodeHello()) //lint:ok errdrop best-effort: roster repair re-announces on every membership change
 	}
+	n := srv.rosterSize()
 	for _, c := range cs {
-		c.recheck(srv.need(c.mode))
+		c.recheck(n)
 	}
 }
 
@@ -503,22 +563,19 @@ func (srv *Server) probeClients(b *gcs.Group, stop <-chan struct{}) {
 // bindingLoop serves one client/server (or client monitor) group.
 func (srv *Server) bindingLoop(b *gcs.Group, bind *bindRequest) {
 	me := srv.svc.ID()
+	in := ids.NewInterner()
+	var env envelope
 	for ev := range b.Events() {
 		switch ev.Type {
 		case gcs.EventDeliver:
 			if ev.Deliver.Sender == me {
 				continue // our own reply-set multicasts
 			}
-			msg, err := decodePayload(ev.Deliver.Payload)
-			if err != nil {
-				continue
-			}
-			req, ok := msg.(*invRequest)
-			if !ok || req.Forwarded {
+			if decodePayload(ev.Deliver.Payload, &env, in) != nil || env.kind != payloadRequest || env.req.Forwarded {
 				continue
 			}
 			if bind.Style == Open {
-				srv.serveAsRM(b, bind, req)
+				srv.serveAsRM(b, bind, &env.req)
 			}
 		case gcs.EventView:
 			// When every client has gone, the client/server group has
@@ -566,6 +623,8 @@ func (srv *Server) serveClosed(req *invRequest, stamp vclock.Stamp) {
 
 // serveAsRM handles a request delivered in an open client/server or
 // client monitor group, acting as the request manager (paper fig. 4).
+// req belongs to the caller's reusable envelope: nothing here may keep it
+// past the return.
 func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 	srv.mu.Lock()
 	if bind.Monitor {
@@ -577,19 +636,15 @@ func (srv *Server) serveAsRM(b *gcs.Group, bind *bindRequest, req *invRequest) {
 			return
 		}
 		srv.seen[req.Call] = true
-		srv.seenOrder = append(srv.seenOrder, req.Call)
-		if len(srv.seenOrder) > cacheCap {
-			delete(srv.seen, srv.seenOrder[0])
-			srv.seenOrder = srv.seenOrder[1:]
+		if old, evicted := srv.seenOrder.push(req.Call); evicted {
+			delete(srv.seen, old)
 		}
 	}
-	if set, ok := srv.sets[req.Call]; ok {
+	if enc, ok := srv.sets[req.Call]; ok {
 		// Retried call: resend the retained aggregated reply (§4.1).
 		srv.mu.Unlock()
 		if req.Mode != OneWay {
-			resend := *set
-			resend.Trace = req.Trace
-			_ = b.Multicast(context.Background(), encodeReplySet(&resend)) //lint:ok errdrop best-effort: a lost resend just triggers another client retry
+			_ = b.Multicast(context.Background(), retraceReplySet(enc, req.Trace)) //lint:ok errdrop best-effort: a lost resend just triggers another client retry
 		}
 		return
 	}
@@ -639,17 +694,9 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 			Proc:  string(req.Client),
 			Depth: 0,
 			Start: sent,
+			Dur:   now.Sub(sent), // the transit to the request manager
 			Note:  "reported by envelope",
 		})
-		srv.svc.obs.Tracer.Record(obs.Span{
-			Trace: tid,
-			Stage: "rm.receive",
-			Proc:  string(srv.svc.ID()),
-			Depth: 1,
-			Start: now,
-			Note:  "mode=" + req.Mode.String() + " transit≈" + now.Sub(sent).Round(time.Microsecond).String(),
-		})
-		return
 	}
 	srv.svc.obs.Tracer.Record(obs.Span{
 		Trace: tid,
@@ -657,8 +704,39 @@ func (srv *Server) recordRMReceive(req *invRequest) {
 		Proc:  string(srv.svc.ID()),
 		Depth: 1,
 		Start: now,
-		Note:  "mode=" + req.Mode.String(),
+		Note:  modeNote(req.Mode),
 	})
+}
+
+// modeNote is the rm.receive span note for one reply mode.
+func modeNote(m ReplyMode) string {
+	switch m {
+	case OneWay:
+		return "mode=one-way"
+	case First:
+		return "mode=wait-for-first"
+	case Majority:
+		return "mode=wait-for-majority"
+	case All:
+		return "mode=wait-for-all"
+	}
+	return "mode=" + m.String()
+}
+
+// repliesNotes are the rm.collect span notes for small reply counts.
+var repliesNotes = func() (notes [16]string) {
+	for i := range notes {
+		notes[i] = "replies=" + strconv.Itoa(i)
+	}
+	return notes
+}()
+
+// repliesNote is the rm.collect span note for n gathered replies.
+func repliesNote(n int) string {
+	if n >= 0 && n < len(repliesNotes) {
+		return repliesNotes[n]
+	}
+	return "replies=" + strconv.Itoa(n)
 }
 
 // serveAsyncForward is the restricted-group + asynchronous-message-
@@ -688,7 +766,7 @@ func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 			Depth: 3,
 			Start: start,
 			Dur:   d,
-			Note:  "method=" + req.Method,
+			Note:  srv.methodNoteLocked(req.Method),
 		})
 		return r, true
 	}()
@@ -697,11 +775,11 @@ func (srv *Server) serveAsyncForward(b *gcs.Group, req *invRequest) {
 	// the whole point of the optimisation, §4.2). Both stay under execMu
 	// so the backups apply requests in exactly the primary's execution
 	// order.
-	set := &invReplySet{Call: req.Call, Replies: []invReply{rep}, Trace: req.Trace}
-	srv.storeSet(set)
+	enc := encodeReplySet(&invReplySet{Call: req.Call, Replies: []invReply{rep}, Trace: req.Trace})
+	srv.storeSet(req.Call, enc)
 	replyStart := time.Now()
 	//lint:ok lockblock deliberate: both multicasts stay under execMu so backups see the primary's execution order (§4.2)
-	_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
+	_ = b.Multicast(context.Background(), enc) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
 	srv.recordRMSpan(req.Trace, "rm.reply", replyStart, "async-forward")
 	if fresh {
 		fwd := *req
@@ -736,12 +814,12 @@ func (srv *Server) recordRMSpan(trace uint64, stage string, start time.Time, not
 // in the server group, gather replies per the reply mode, return the
 // aggregate to the client group.
 func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
-	c := newCollector(req.Call, req.Mode)
 	srv.mu.Lock()
 	if srv.closed {
 		srv.mu.Unlock()
 		return
 	}
+	c := srv.newCollectorLocked(req.Call, req.Mode)
 	srv.collectors[req.Call] = c
 	srv.mu.Unlock()
 
@@ -756,79 +834,154 @@ func (srv *Server) serveCollected(b *gcs.Group, req *invRequest) {
 	_ = srv.group.Multicast(context.Background(), encodeRequest(&fwd)) //lint:ok errdrop best-effort: the collector times out and aggregates whatever replies arrive
 	srv.recordRMSpan(req.Trace, "rm.forward", fwdStart, "server-group multicast")
 
+	c.arm(srv.rmWait)
 	srv.wg.Add(1)
-	go func() {
-		defer srv.wg.Done()
-		defer srv.group.Unattend()
-		defer b.Unattend()
-		collectStart := time.Now()
-		set := c.wait(srv.rmWait)
-		srv.recordRMSpan(req.Trace, "rm.collect", collectStart, fmt.Sprintf("replies=%d", len(set.Replies)))
-		srv.mu.Lock()
-		delete(srv.collectors, req.Call)
-		srv.mu.Unlock()
-		set.Trace = req.Trace
-		srv.storeSet(set)
-		replyStart := time.Now()
-		_ = b.Multicast(context.Background(), encodeReplySet(set)) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
-		srv.recordRMSpan(req.Trace, "rm.reply", replyStart, "client-group multicast")
-	}()
+	go srv.answer(b, c, req.Trace)
 }
 
-// storeSet retains an aggregated reply for retries.
-func (srv *Server) storeSet(set *invReplySet) {
+// answer waits for a collector to close — quorum met, deadline passed or
+// server closing — and multicasts the gathered replies to the client
+// group, retaining them for retries.
+func (srv *Server) answer(b *gcs.Group, c *collector, trace uint64) {
+	defer srv.wg.Done()
+	defer srv.group.Unattend()
+	defer b.Unattend()
+	collectStart := time.Now()
+	call, enc, n := c.wait(trace)
+	srv.recordRMSpan(trace, "rm.collect", collectStart, repliesNote(n))
+	srv.mu.Lock()
+	delete(srv.collectors, call)
+	if len(srv.spare) < maxSpareCollectors {
+		srv.spare = append(srv.spare, c)
+	}
+	srv.mu.Unlock()
+	srv.storeSet(call, enc)
+	replyStart := time.Now()
+	_ = b.Multicast(context.Background(), enc) //lint:ok errdrop best-effort: the client retries and gets the retained reply set
+	srv.recordRMSpan(trace, "rm.reply", replyStart, "client-group multicast")
+}
+
+// storeSet retains an aggregated reply, as multicast, for retries.
+func (srv *Server) storeSet(call ids.CallID, enc []byte) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if _, ok := srv.sets[set.Call]; ok {
+	if _, ok := srv.sets[call]; ok {
 		return
 	}
-	srv.sets[set.Call] = set
-	srv.setOrder = append(srv.setOrder, set.Call)
-	if len(srv.setOrder) > cacheCap {
-		delete(srv.sets, srv.setOrder[0])
-		srv.setOrder = srv.setOrder[1:]
+	srv.sets[call] = enc
+	if old, evicted := srv.setOrder.push(call); evicted {
+		delete(srv.sets, old)
 	}
 }
 
-// collector gathers server replies for one request-managed call.
+// retraceReplySet returns an encoded reply set carrying trace instead of
+// the trace it was encoded with.
+func retraceReplySet(enc []byte, trace uint64) []byte {
+	var env envelope
+	if decodePayload(enc, &env, nil) != nil || env.kind != payloadReplySet || env.set.Trace == trace {
+		return enc
+	}
+	env.set.Trace = trace
+	return encodeReplySet(&env.set)
+}
+
+// maxSpareCollectors bounds the recycled-collector list.
+const maxSpareCollectors = 64
+
+// collector gathers the server replies of one request-managed call.
+// Collectors are recycled (Server.spare): the reply slice keeps the
+// roster-sized capacity it grew to, the completion channel is reused and
+// the deadline timer is re-armed rather than created per call. A
+// collector may be recycled while a late reply or view change still holds
+// it, so every mutation checks the call it is meant for under mu.
 type collector struct {
-	call ids.CallID
-	mode ReplyMode
-
-	mu      sync.Mutex
-	replies map[ids.ProcessID]invReply
-	done    chan struct{}
-	closed  bool
+	mu       sync.Mutex
+	call     ids.CallID
+	mode     ReplyMode
+	replies  []invReply // one per replying server
+	closed   bool
+	timedOut bool
+	deadline time.Time
+	done     chan struct{} // signalled exactly once per call, when it closes
+	timer    *time.Timer   // runs expire at the deadline
 }
 
-func newCollector(call ids.CallID, mode ReplyMode) *collector {
-	return &collector{
-		call:    call,
-		mode:    mode,
-		replies: make(map[ids.ProcessID]invReply),
-		done:    make(chan struct{}),
+// newCollectorLocked readies a collector for one call, recycling a spare
+// one (srv.mu held).
+func (srv *Server) newCollectorLocked(call ids.CallID, mode ReplyMode) *collector {
+	var c *collector
+	if n := len(srv.spare); n > 0 {
+		c = srv.spare[n-1]
+		srv.spare[n-1] = nil
+		srv.spare = srv.spare[:n-1]
+	} else {
+		c = &collector{done: make(chan struct{}, 1)}
+	}
+	c.mu.Lock()
+	c.call, c.mode = call, mode
+	clear(c.replies)
+	c.replies = c.replies[:0]
+	c.closed, c.timedOut = false, false
+	c.deadline = time.Time{}
+	c.mu.Unlock()
+	return c
+}
+
+// arm starts the collector's deadline.
+func (c *collector) arm(d time.Duration) {
+	c.mu.Lock()
+	c.deadline = time.Now().Add(d)
+	if c.timer == nil {
+		c.timer = time.AfterFunc(d, c.expire)
+	} else {
+		c.timer.Reset(d)
+	}
+	c.mu.Unlock()
+}
+
+// expire closes a collector whose deadline has passed. A firing left over
+// from the collector's previous call finds a later deadline and does
+// nothing.
+func (c *collector) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed && !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+		c.timedOut = true
+		c.closeLocked()
 	}
 }
 
-func (c *collector) add(rep invReply, need int) {
+// closeLocked marks the collector closed and wakes its waiter. done has
+// room for the one signal a call ever sends, so this never blocks.
+func (c *collector) closeLocked() {
+	c.closed = true
+	select {
+	case c.done <- struct{}{}:
+	default:
+	}
+}
+
+// add records one server's reply (a later reply from the same server
+// replaces its earlier one) and closes the collector once the mode's
+// quorum of roster replies is in.
+func (c *collector) add(rep invReply, roster int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed || rep.Call != c.call {
 		return
 	}
-	c.replies[rep.Server] = rep
-	if len(c.replies) >= need {
-		c.closed = true
-		close(c.done)
+	c.replies = putByServer(c.replies, rep)
+	if len(c.replies) >= c.mode.need(roster) {
+		c.closeLocked()
 	}
 }
 
-func (c *collector) recheck(need int) {
+// recheck re-evaluates the quorum against a changed roster.
+func (c *collector) recheck(roster int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed && len(c.replies) >= need {
-		c.closed = true
-		close(c.done)
+	if !c.closed && len(c.replies) >= c.mode.need(roster) {
+		c.closeLocked()
 	}
 }
 
@@ -836,45 +989,35 @@ func (c *collector) cancel() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.closed {
-		c.closed = true
-		close(c.done)
+		c.closeLocked()
 	}
 }
 
-// wait blocks for completion (or the deadline) and snapshots the result.
-func (c *collector) wait(timeout time.Duration) *invReplySet {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	timedOut := false
-	select {
-	case <-c.done:
-	case <-timer.C:
-		timedOut = true
-	}
+// wait blocks until the collector closes and returns its call, the
+// gathered replies encoded as a reply set (sorted by server, carrying
+// trace) and how many replies it holds.
+func (c *collector) wait(trace uint64) (ids.CallID, []byte, int) {
+	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	set := &invReplySet{Call: c.call, Replies: make([]invReply, 0, len(c.replies))}
-	for _, rep := range c.replies {
-		set.Replies = append(set.Replies, rep)
-	}
-	sort.Slice(set.Replies, func(i, j int) bool {
-		return set.Replies[i].Server.Less(set.Replies[j].Server)
-	})
-	if timedOut && len(set.Replies) == 0 {
+	c.timer.Stop()
+	slices.SortFunc(c.replies, func(x, y invReply) int { return cmp.Compare(x.Server, y.Server) })
+	set := invReplySet{Call: c.call, Replies: c.replies, Trace: trace}
+	if c.timedOut && len(c.replies) == 0 {
 		set.Err = "request manager: no replies before deadline"
 	}
-	return set
+	return c.call, encodeReplySet(&set), len(c.replies)
 }
 
-// replyCache retains executed replies for exactly-once retry semantics.
+// replyCache retains executed replies for exactly-once retry semantics,
+// evicting the oldest once it holds its capacity.
 type replyCache struct {
 	m     map[ids.CallID]invReply
-	order []ids.CallID
-	cap   int
+	order callRing
 }
 
 func newReplyCache(capacity int) *replyCache {
-	return &replyCache{m: make(map[ids.CallID]invReply, capacity), cap: capacity}
+	return &replyCache{m: make(map[ids.CallID]invReply, capacity), order: callRing{cap: capacity}}
 }
 
 func (rc *replyCache) get(call ids.CallID) (invReply, bool) {
@@ -887,11 +1030,31 @@ func (rc *replyCache) put(call ids.CallID, rep invReply) {
 		return
 	}
 	rc.m[call] = rep
-	rc.order = append(rc.order, call)
-	if len(rc.order) > rc.cap {
-		delete(rc.m, rc.order[0])
-		rc.order = rc.order[1:]
+	if old, evicted := rc.order.push(call); evicted {
+		delete(rc.m, old)
 	}
+}
+
+// callRing remembers the insertion order of a bounded cache's keys. It
+// grows to its capacity once, then overwrites its oldest slot on every
+// push, so a cache evicting in steady state reuses one backing array
+// instead of re-slicing off its front and regrowing.
+type callRing struct {
+	keys []ids.CallID
+	next int // once full: the oldest slot, overwritten by the next push
+	cap  int
+}
+
+// push records k and returns the key it evicts, if the ring was full.
+func (r *callRing) push(k ids.CallID) (ids.CallID, bool) {
+	if len(r.keys) < r.cap {
+		r.keys = append(r.keys, k)
+		return ids.CallID{}, false
+	}
+	old := r.keys[r.next]
+	r.keys[r.next] = k
+	r.next = (r.next + 1) % r.cap
+	return old, true
 }
 
 // DebugGroup exposes the server group for white-box diagnostics.

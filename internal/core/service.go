@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"newtop/internal/obs/flight"
 	"newtop/internal/orb"
 	"newtop/internal/transport"
+	"newtop/internal/vclock"
 )
 
 // controlObject is the ORB servant every Service registers; clients use it
@@ -35,15 +37,33 @@ type Service struct {
 	mu       sync.Mutex
 	servers  map[ids.GroupID]*Server
 	waiters  map[ids.CallID]*callWaiter
+	spare    []*callWaiter // recycled waiters (see dropWaiter)
 	nextCall uint64
 	closed   bool
 }
 
 // callWaiter receives the replies for one outstanding invocation.
+// Waiters are recycled across calls: replies are only ever sent to a
+// waiter under Service.mu while it is registered, and dropWaiter drains
+// it under the same lock, so a recycled waiter never holds a reply meant
+// for an earlier call.
 type callWaiter struct {
-	replies chan invReply     // closed-style per-server replies
-	set     chan *invReplySet // open-style aggregated reply
+	set     chan replySet // open style: the request manager's gathered answer
+	replies chan invReply // closed style: per-server replies (nil until a closed call)
 }
+
+// replySet is a request manager's aggregated answer as the binding's
+// delivery loop hands it to the waiting call: already converted to the
+// caller's replies, so nothing of the decoder's reusable envelope
+// crosses goroutines.
+type replySet struct {
+	replies []Reply
+	err     string
+}
+
+// maxSpareWaiters bounds the recycled-waiter list; the live ones are
+// bounded by the bindings' windows.
+const maxSpareWaiters = 256
 
 // NewService starts an NSO on the endpoint. The service owns the
 // endpoint. Instruments register in the process-wide observability
@@ -156,31 +176,62 @@ func (s *Service) newCall() ids.CallID {
 	return ids.CallID{Client: s.ID(), Number: s.nextCall}
 }
 
-// registerWaiter installs the reply sink for one call.
-func (s *Service) registerWaiter(call ids.CallID) *callWaiter {
-	w := &callWaiter{
-		replies: make(chan invReply, 64),
-		set:     make(chan *invReplySet, 1),
-	}
+// registerWaiter installs the reply sink for one call, recycling a spare
+// waiter when one is available. Closed-style calls gather per-server
+// replies and need the direct-reply channel too.
+func (s *Service) registerWaiter(call ids.CallID, direct bool) *callWaiter {
 	s.mu.Lock()
+	var w *callWaiter
+	if n := len(s.spare); n > 0 {
+		w = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	} else {
+		w = &callWaiter{set: make(chan replySet, 1)}
+	}
+	if direct && w.replies == nil {
+		w.replies = make(chan invReply, 64)
+	}
 	s.waiters[call] = w
 	s.mu.Unlock()
 	return w
 }
 
-// dropWaiter removes the reply sink for one call.
+// dropWaiter removes the reply sink for one call and recycles it. Once
+// unregistered nothing can send to it, so draining it here leaves it
+// empty for its next call.
 func (s *Service) dropWaiter(call ids.CallID) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.waiters[call]
+	if w == nil {
+		return
+	}
 	delete(s.waiters, call)
-	s.mu.Unlock()
+	drain(w.set)
+	drain(w.replies)
+	if len(s.spare) < maxSpareWaiters {
+		s.spare = append(s.spare, w)
+	}
+}
+
+// drain empties a buffered channel without blocking.
+func drain[T any](ch chan T) {
+	for {
+		select {
+		case <-ch:
+		default:
+			return
+		}
+	}
 }
 
 // routeReply hands a closed-style direct reply to its waiter.
 func (s *Service) routeReply(rep invReply) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	w := s.waiters[rep.Call]
-	s.mu.Unlock()
-	if w == nil {
+	if w == nil || w.replies == nil {
 		return // late reply after the caller completed or gave up
 	}
 	select {
@@ -189,17 +240,51 @@ func (s *Service) routeReply(rep invReply) {
 	}
 }
 
-// routeReplySet hands an open-style aggregated reply to its waiter.
-func (s *Service) routeReplySet(set *invReplySet) {
+// routeReplySet hands an open-style aggregated answer to its waiter.
+func (s *Service) routeReplySet(call ids.CallID, rs replySet) {
 	s.mu.Lock()
-	w := s.waiters[set.Call]
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	w := s.waiters[call]
 	if w == nil {
 		return
 	}
 	select {
-	case w.set <- set:
+	case w.set <- rs:
 	default:
+	}
+}
+
+// gatherSet converts a decoded reply set into the answer a waiting call
+// receives, folding every reply's applied stamp into the session token
+// through note.
+func gatherSet(set *invReplySet, note func(vclock.Stamp)) replySet {
+	if set.Err != "" {
+		return replySet{err: set.Err}
+	}
+	out := make([]Reply, 0, len(set.Replies))
+	for _, rep := range set.Replies {
+		note(rep.Stamp)
+		out = append(out, rep.toReply())
+	}
+	return replySet{replies: out}
+}
+
+// awaitSet waits for a call's gathered answer (open style and
+// group-to-group).
+func awaitSet(ctx context.Context, w *callWaiter, broken <-chan struct{}) ([]Reply, error) {
+	select {
+	case rs := <-w.set:
+		if rs.err != "" {
+			return nil, fmt.Errorf("core: request manager: %s", rs.err)
+		}
+		if len(rs.replies) == 0 {
+			return nil, errors.New("core: empty reply set")
+		}
+		return rs.replies, nil
+	case <-broken:
+		return nil, ErrBindingBroken
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -264,15 +349,11 @@ func (s *Service) control(method string, args []byte) ([]byte, error) {
 // wireReplyFromBytes decodes a direct reply delivered over the control
 // object.
 func wireReplyFromBytes(b []byte) *invReply {
-	msg, err := decodePayload(b)
-	if err != nil {
+	var env envelope
+	if err := decodePayload(b, &env, nil); err != nil || env.kind != payloadReply {
 		return nil
 	}
-	rep, ok := msg.(*invReply)
-	if !ok {
-		return nil
-	}
-	return rep
+	return &env.rep
 }
 
 // handleBind joins this server into a client/server (or client monitor)

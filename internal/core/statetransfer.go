@@ -155,8 +155,9 @@ func (srv *Server) drainCatchup(ctx context.Context) error {
 				return ErrClosed
 			}
 			if ev.Type == gcs.EventDeliver {
-				if msg, err := decodePayload(ev.Deliver.Payload); err == nil {
-					if req, okReq := msg.(*invRequest); okReq && (req.Forwarded || req.Style == Closed) {
+				var env envelope
+				if decodePayload(ev.Deliver.Payload, &env, nil) == nil && env.kind == payloadRequest {
+					if req := &env.req; req.Forwarded || req.Style == Closed {
 						buf = append(buf, buffered{stamp: ev.Deliver.Stamp, req: req})
 						continue
 					}

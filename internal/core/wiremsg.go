@@ -123,15 +123,15 @@ func putReply(w *wire.Writer, m invReply) {
 	putStamp(w, m.Stamp)
 }
 
-func getReply(r *wire.Reader) invReply {
+func getReply(r *wire.Reader, in *ids.Interner) invReply {
 	return invReply{
-		Call:      ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-		Server:    ids.ProcessID(r.String()),
+		Call:      ids.CallID{Client: proc(r, in), Number: r.Uvarint()},
+		Server:    proc(r, in),
 		Payload:   r.BlobRef(),
 		Err:       r.String(),
 		Trace:     r.Uvarint(),
 		ExecNanos: r.Varint(),
-		Stamp:     getStamp(r),
+		Stamp:     getStamp(r, in),
 	}
 }
 
@@ -140,8 +140,8 @@ func putStamp(w *wire.Writer, s vclock.Stamp) {
 	w.String(string(s.Sender))
 }
 
-func getStamp(r *wire.Reader) vclock.Stamp {
-	return vclock.Stamp{Time: r.Uvarint(), Sender: ids.ProcessID(r.String())}
+func getStamp(r *wire.Reader, in *ids.Interner) vclock.Stamp {
+	return vclock.Stamp{Time: r.Uvarint(), Sender: proc(r, in)}
 }
 
 func encodeReply(m invReply) []byte {
@@ -169,19 +169,41 @@ func encodeReplySet(m *invReplySet) []byte {
 	return out
 }
 
-// decodePayload parses one invocation-layer multicast payload.
-func decodePayload(b []byte) (any, error) {
-	r := wire.NewReader(b)
-	kind := r.Byte()
-	var msg any
-	switch kind {
+// envelope is one decoded invocation-layer payload, typed by kind (a
+// payload* constant): req, rep or set holds the body, and hello carries
+// none. Decoding fills an envelope in place, so a consumer that reuses
+// one envelope boxes nothing into interfaces and allocates no message
+// structs. set.Replies keeps its backing array across decodes; a consumer
+// must be done with one set before decoding the next.
+type envelope struct {
+	kind byte
+	req  invRequest
+	rep  invReply
+	set  invReplySet
+}
+
+// proc reads a length-prefixed process identifier through the interner.
+func proc(r *wire.Reader, in *ids.Interner) ids.ProcessID {
+	return ids.ProcessID(in.Intern(r.BlobRef()))
+}
+
+// decodePayload parses one invocation-layer multicast payload into env,
+// interning process ids and method names through in (nil for a one-shot
+// decode); each consumer goroutine keeps its own interner. Byte
+// slices in the result alias b, as with every BlobRef decode: transport
+// frames are never reused.
+func decodePayload(b []byte, env *envelope, in *ids.Interner) error {
+	var r wire.Reader
+	r.Reset(b)
+	env.kind = r.Byte()
+	switch env.kind {
 	case payloadRequest:
-		msg = &invRequest{
-			Call:      ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
+		env.req = invRequest{
+			Call:      ids.CallID{Client: proc(&r, in), Number: r.Uvarint()},
 			Mode:      ReplyMode(r.Uvarint()),
-			Method:    r.String(),
+			Method:    in.Intern(r.BlobRef()),
 			Args:      r.BlobRef(),
-			Client:    ids.ProcessID(r.String()),
+			Client:    proc(&r, in),
 			Style:     Style(r.Uvarint()),
 			Forwarded: r.Bool(),
 			AsyncFwd:  r.Bool(),
@@ -189,35 +211,25 @@ func decodePayload(b []byte) (any, error) {
 			SentAt:    r.Varint(),
 		}
 	case payloadReply:
-		rep := getReply(r)
-		msg = &rep
+		env.rep = getReply(&r, in)
 	case payloadHello:
-		msg = helloMsg{}
 	case payloadReplySet:
-		set := &invReplySet{
-			Call: ids.CallID{Client: ids.ProcessID(r.String()), Number: r.Uvarint()},
-		}
+		set := &env.set
+		set.Call = ids.CallID{Client: proc(&r, in), Number: r.Uvarint()}
+		set.Replies = set.Replies[:0]
 		n := r.Uvarint()
 		if r.Err() == nil && n <= uint64(r.Remaining()) {
-			set.Replies = make([]invReply, 0, n)
 			for i := uint64(0); i < n; i++ {
-				set.Replies = append(set.Replies, getReply(r))
+				set.Replies = append(set.Replies, getReply(&r, in))
 			}
 		}
 		set.Err = r.String()
 		set.Trace = r.Uvarint()
-		msg = set
 	default:
-		return nil, fmt.Errorf("core: unknown payload kind %d", kind)
+		return fmt.Errorf("core: unknown payload kind %d", env.kind)
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return r.Done()
 }
-
-// helloMsg is the decoded form of a server announcement.
-type helloMsg struct{}
 
 // bindRequest is the control call ("newtop.bind") a client makes on a
 // server's NSO to have it join a client/server or client monitor group.
@@ -378,7 +390,7 @@ func decodeReadRequest(b []byte) (*readRequest, error) {
 		Args:        r.BlobRef(),
 		Consistency: Consistency(r.Uvarint()),
 		MaxStale:    r.Varint(),
-		MinStamp:    getStamp(r),
+		MinStamp:    getStamp(r, nil),
 		Trace:       r.Uvarint(),
 	}
 	if err := r.Done(); err != nil {
@@ -406,7 +418,7 @@ func decodeReadReply(b []byte) (*readReply, error) {
 		Code:       r.Byte(),
 		Payload:    r.BlobRef(),
 		Err:        r.String(),
-		Stamp:      getStamp(r),
+		Stamp:      getStamp(r, nil),
 		AgeTicks:   r.Uvarint(),
 		BoundTicks: r.Uvarint(),
 	}

@@ -11,6 +11,24 @@ import (
 	"newtop/internal/wire/wiretest"
 )
 
+// decodeOne decodes one payload, which must be of the given kind, with a
+// fresh interner, and checks a one-shot decode agrees with it.
+func decodeOne(t *testing.T, b []byte, kind byte) *envelope {
+	t.Helper()
+	env := new(envelope)
+	if err := decodePayload(b, env, ids.NewInterner()); err != nil {
+		t.Fatal(err)
+	}
+	if env.kind != kind {
+		t.Fatalf("decoded kind %d, want %d", env.kind, kind)
+	}
+	var once envelope
+	if err := decodePayload(b, &once, nil); err != nil || !reflect.DeepEqual(&once, env) {
+		t.Fatalf("one-shot decode differs (err %v):\n%+v\n%+v", err, once, *env)
+	}
+	return env
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	req := &invRequest{
 		Call:      ids.CallID{Client: "c1", Number: 42},
@@ -24,11 +42,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		Trace:     0xdeadbeefcafe,
 		SentAt:    1722870000123456789,
 	}
-	msg, err := decodePayload(encodeRequest(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := msg.(*invRequest)
+	env := decodeOne(t, encodeRequest(req), payloadRequest)
+	got := &env.req
 	if got.Call != req.Call || got.Mode != req.Mode || got.Method != req.Method ||
 		string(got.Args) != string(req.Args) || got.Client != req.Client ||
 		got.Style != req.Style || got.Forwarded != req.Forwarded || got.AsyncFwd != req.AsyncFwd ||
@@ -46,11 +61,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		Trace:     0x1234abcd,
 		ExecNanos: 987654321,
 	}
-	msg, err := decodePayload(encodeReply(rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := msg.(*invReply); got.Call != rep.Call || got.Server != rep.Server ||
+	if got := &decodeOne(t, encodeReply(rep), payloadReply).rep; got.Call != rep.Call || got.Server != rep.Server ||
 		string(got.Payload) != "result" || got.Err != rep.Err ||
 		got.Trace != rep.Trace || got.ExecNanos != rep.ExecNanos {
 		t.Fatalf("reply mismatch: %+v", got)
@@ -62,11 +73,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 		Err:     "",
 		Trace:   0x1234abcd,
 	}
-	msg, err = decodePayload(encodeReplySet(set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := msg.(*invReplySet)
+	got := &decodeOne(t, encodeReplySet(set), payloadReplySet).set
 	if got.Call != set.Call || len(got.Replies) != 2 || got.Replies[1].Server != "s2" ||
 		got.Trace != set.Trace || got.Replies[0].Trace != rep.Trace ||
 		got.Replies[0].ExecNanos != rep.ExecNanos {
@@ -75,13 +82,7 @@ func TestReplyAndSetRoundTrip(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	msg, err := decodePayload(encodeHello())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := msg.(helloMsg); !ok {
-		t.Fatalf("hello decoded as %T", msg)
-	}
+	decodeOne(t, encodeHello(), payloadHello)
 }
 
 func TestBindRequestRoundTrip(t *testing.T) {
@@ -129,14 +130,7 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(req); len(z) != 0 {
 			t.Fatalf("filler left fields zero (extend wiretest.Fill): %v", z)
 		}
-		msg, err := decodePayload(encodeRequest(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := msg.(*invRequest)
-		if !ok {
-			t.Fatalf("decoded as %T", msg)
-		}
+		got := &decodeOne(t, encodeRequest(req), payloadRequest).req
 		if !reflect.DeepEqual(got, req) {
 			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*req, *got))
 		}
@@ -147,14 +141,7 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(&rep); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		msg, err := decodePayload(encodeReply(rep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := msg.(*invReply)
-		if !ok {
-			t.Fatalf("decoded as %T", msg)
-		}
+		got := &decodeOne(t, encodeReply(rep), payloadReply).rep
 		if !reflect.DeepEqual(*got, rep) {
 			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(rep, *got))
 		}
@@ -165,14 +152,7 @@ func TestReflectionRoundTrips(t *testing.T) {
 		if z := wiretest.Unfilled(set); len(z) != 0 {
 			t.Fatalf("filler left fields zero: %v", z)
 		}
-		msg, err := decodePayload(encodeReplySet(set))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := msg.(*invReplySet)
-		if !ok {
-			t.Fatalf("decoded as %T", msg)
-		}
+		got := &decodeOne(t, encodeReplySet(set), payloadReplySet).set
 		if !reflect.DeepEqual(got, set) {
 			t.Fatalf("encode/decode asymmetry:\n%s", wiretest.Diff(*set, *got))
 		}
@@ -223,7 +203,9 @@ func TestReflectionRoundTrips(t *testing.T) {
 
 func TestPayloadDecodeGarbageNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = decodePayload(b)
+		var env envelope
+		_ = decodePayload(b, &env, nil)
+		_ = decodePayload(b, &env, ids.NewInterner())
 		_, _ = decodeBindRequest(b)
 		_, _ = decodeProcs(b)
 		return true

@@ -33,6 +33,7 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 		"newtop/internal/obs/flight",
 		"newtop/internal/core",
 		"newtop/internal/shard",
+		"newtop/internal/transport",
 	} {
 		p, err := ld.Load(path)
 		if err != nil {
@@ -57,6 +58,11 @@ func TestAllocCrossCheckStaticVsRuntime(t *testing.T) {
 		{"newtop/internal/gcs.decodeMessage", 7},             // decode budget
 		{"newtop/internal/gcs.(*Node).dispatch", 7},          // ingest ≥ decode budget
 		{"newtop/internal/core.(*Server).serveReadLocal", 8}, // leased-read budget
+		{"newtop/internal/core.decodePayload", 0},            // typed-decode budget
+		{"newtop/internal/transport.(*muxChannel).Send", 1},  // generic mux send: the framing copy
+		// The whole-stack open call (client, request manager, replicas) is
+		// the runtime ceiling nearest the client's launch entry point.
+		{"newtop/internal/core.(*Binding).InvokeAsync", 25},
 	}
 	for _, cc := range crossChecks {
 		static, ok := counts[cc.entry]

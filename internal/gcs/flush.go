@@ -31,7 +31,7 @@ func (g *Group) handleJoin(m *joinMsg) {
 	}
 	coord := g.actingCoordinator()
 	if coord != g.me {
-		g.sendLocked(coord, encodeMessage(m))
+		g.sendLocked(coord, g.node.encode(m))
 		return
 	}
 	if g.view.Contains(m.Joiner) || g.pendingJoins[m.Joiner] {
@@ -52,7 +52,7 @@ func (g *Group) handleLeave(m *leaveMsg) {
 	}
 	coord := g.actingCoordinator()
 	if coord != g.me {
-		g.sendLocked(coord, encodeMessage(m))
+		g.sendLocked(coord, g.node.encode(m))
 		return
 	}
 	if !g.view.Contains(m.Leaver) || g.pendingLeaves[m.Leaver] {
@@ -129,7 +129,7 @@ func (g *Group) maybeStartFlushLocked() {
 	g.fr.Record(flight.Event{Type: flight.EvFlushPropose, Proc: g.frProc, Group: g.frGroup,
 		Sender: flight.NoSender, View: uint32(newSeq), A: uint64(len(target))})
 
-	enc := encodeMessage(prop)
+	enc := g.node.encode(prop)
 	for _, p := range target {
 		if p != g.me {
 			g.sendLocked(p, enc)
@@ -215,7 +215,7 @@ func (g *Group) handlePropose(p *proposeMsg) {
 		g.acceptFlushAckLocked(ack)
 		return
 	}
-	g.sendLocked(p.Proposer, encodeMessage(ack))
+	g.sendLocked(p.Proposer, g.node.encode(ack))
 }
 
 // handleFlushAck processes one member's flush acknowledgement at the
@@ -285,7 +285,7 @@ func (g *Group) commitFlushLocked() {
 	}
 	sort.Slice(commit.Assigns, func(i, j int) bool { return commit.Assigns[i].Global < commit.Assigns[j].Global })
 
-	enc := encodeMessage(commit)
+	enc := g.node.encode(commit)
 	for _, p := range fl.members {
 		if p != g.me {
 			g.sendLocked(p, enc)

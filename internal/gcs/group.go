@@ -65,6 +65,9 @@ type Group struct {
 	delGlobal     uint64                 // last delivered global seq
 	assignHigh    uint64                 // sequencer only: highest global assigned
 	announcedHigh uint64                 // sequencer only: highest global put on the wire
+	// assignArena carves the ordering-decision slices the sequencer
+	// piggybacks on its messages (see carveAssigns).
+	assignArena   []assign
 	announceSeq   map[ids.MsgID]uint64   // sequencer only: own seq that first carried each assign
 	ackMat        []uint64               // n×n acknowledgement matrix, row-major [from][sender]
 	store         map[ids.MsgID]*dataMsg // unstable messages retained for flush/resend
@@ -348,7 +351,7 @@ func (g *Group) Suspect(p ids.ProcessID) {
 	g.unparkLocked()
 	g.suspects[p] = true
 	if coord := g.actingCoordinator(); coord != g.me {
-		g.sendLocked(coord, encodeMessage(&suspectMsg{Group: g.id, Accused: p}))
+		g.sendLocked(coord, g.node.encode(&suspectMsg{Group: g.id, Accused: p}))
 		return
 	}
 	g.maybeStartFlushLocked()
@@ -523,9 +526,9 @@ func (g *Group) flushBatchLocked() {
 	}
 	var enc []byte
 	if len(msgs) == 1 {
-		enc = encodeMessage(msgs[0])
+		enc = g.node.encode(msgs[0])
 	} else {
-		enc = encodeMessage(&batchMsg{Group: g.id, Msgs: msgs})
+		enc = g.node.encode(&batchMsg{Group: g.id, Msgs: msgs})
 	}
 	DebugCounters.Batches.Add(1)
 	g.frRecord(flight.EvBatchFlush, g.midx.me, msgs[0].Seq, uint64(len(msgs)), 0)
@@ -549,7 +552,7 @@ func (g *Group) flushBatchLocked() {
 
 // broadcastLocked transmits an encoded message to every other view member.
 func (g *Group) broadcastLocked(m *dataMsg) {
-	enc := encodeMessage(m)
+	enc := g.node.encode(m)
 	for _, p := range g.view.Members {
 		if p != g.me {
 			g.sendLocked(p, enc) // best-effort; resend machinery recovers
@@ -557,13 +560,15 @@ func (g *Group) broadcastLocked(m *dataMsg) {
 	}
 }
 
-// sendLocked transmits one encoded protocol message, counting the bytes
+// sendLocked transmits one encoded protocol frame (from node.encode),
+// counting its message bytes — the frame minus any transport header —
 // against the group's wire totals.
 func (g *Group) sendLocked(to ids.ProcessID, enc []byte) {
-	g.stats.BytesSent += uint64(len(enc))
-	g.metrics.bytesSent.Add(uint64(len(enc)))
+	n := uint64(len(enc) - g.node.framing.HeaderLen())
+	g.stats.BytesSent += n
+	g.metrics.bytesSent.Add(n)
 	//lint:ok lockblock endpoints are non-blocking by contract (netsim queues, loopback drops); holding g.mu here keeps send order = ingest order
-	_ = g.node.ep.Send(to, enc) //lint:ok errdrop best-effort: the resend machinery in tick.go recovers lost protocol messages
+	_ = g.node.framing.Send(to, enc) //lint:ok errdrop best-effort: the resend machinery in tick.go recovers lost protocol messages
 }
 
 // sendVCLocked snapshots the causal context of a new send into the
@@ -644,7 +649,7 @@ func (g *Group) assignDeltaLocked(seq uint64) []assign {
 	if g.assignHigh <= g.announcedHigh {
 		return nil
 	}
-	out := make([]assign, 0, g.assignHigh-g.announcedHigh)
+	out := carveAssigns(&g.assignArena, int(g.assignHigh-g.announcedHigh))
 	for global := g.announcedHigh + 1; global <= g.assignHigh; global++ {
 		id, ok := g.ring.get(global)
 		if !ok {
@@ -1383,11 +1388,11 @@ func (g *Group) installViewLocked(v View) {
 	// requesters retry.
 	if coord := g.actingCoordinator(); coord != g.me {
 		for p := range g.pendingJoins {
-			g.sendLocked(coord, encodeMessage(&joinMsg{Group: g.id, Joiner: p}))
+			g.sendLocked(coord, g.node.encode(&joinMsg{Group: g.id, Joiner: p}))
 		}
 		g.pendingJoins = make(map[ids.ProcessID]bool)
 		for p := range g.pendingLeaves {
-			g.sendLocked(coord, encodeMessage(&leaveMsg{Group: g.id, Leaver: p}))
+			g.sendLocked(coord, g.node.encode(&leaveMsg{Group: g.id, Leaver: p}))
 		}
 		g.pendingLeaves = make(map[ids.ProcessID]bool)
 	} else if len(g.pendingJoins)+len(g.pendingLeaves) > 0 {
@@ -1406,7 +1411,7 @@ func (g *Group) Leave() error {
 	}
 	coord := g.actingCoordinator()
 	me := g.me
-	enc := encodeMessage(&leaveMsg{Group: g.id, Leaver: me})
+	enc := g.node.encode(&leaveMsg{Group: g.id, Leaver: me})
 	// Push any batched messages onto the wire before departing; the
 	// remaining members would otherwise only recover them through resends
 	// directed at a process that is gone.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"newtop/internal/ids"
+	"newtop/internal/transport"
 	"newtop/internal/vclock"
 	"newtop/internal/wire"
 )
@@ -145,22 +146,20 @@ type commitMsg struct {
 // --- encoding helpers ---
 
 // decoder is the receive-side codec state one goroutine (a node's receive
-// loop) reuses across frames: an embedded wire.Reader and intern tables
-// for the identifier strings that repeat on every message. A steady-state
-// data frame names a group, a view installer and a sender the decoder has
-// seen thousands of times before; interning turns each of those from a
-// fresh string allocation into a map probe on the frame's bytes (which Go
-// compiles without allocating). The zero value works — it just interns
-// nothing — so one-shot call sites keep the plain decodeMessage entry
-// point.
-//
-// The tables are bounded: a hostile peer streaming unique identifiers
-// must not grow them forever, so past internCap the decoder falls back to
-// plain per-call conversion.
+// loop) reuses across frames: an embedded wire.Reader and an intern table
+// (ids.Interner) for the identifier strings that repeat on every message.
+// A steady-state data frame names a group, a view installer and a sender
+// the decoder has seen thousands of times before; interning turns each of
+// those from a fresh string allocation into a map probe on the frame's
+// bytes (which Go compiles without allocating). The zero value works — it
+// just interns nothing — so one-shot call sites keep the plain
+// decodeMessage entry point. The table is bounded (see ids.Interner), so
+// a hostile peer streaming unique identifiers cannot grow it forever.
 type decoder struct {
-	r      wire.Reader
-	procs  map[string]ids.ProcessID
-	groups map[string]ids.GroupID
+	r wire.Reader
+	// names interns process and group identifiers; nil for the one-shot
+	// decoder.
+	names *ids.Interner
 	// msgs carves inbound dataMsg envelopes out of chunks of dataMsgChunk,
 	// amortising the per-message header allocation the same way the tcpnet
 	// arena amortises frame payloads. Carved envelopes are never reused —
@@ -168,9 +167,10 @@ type decoder struct {
 	// lifetime, and the chunk is reclaimed when its last message dies — so
 	// the scheme cannot corrupt retained messages.
 	msgs []dataMsg
+	// assigns carves the ordering-decision slices of inbound messages the
+	// same way (see carveAssigns).
+	assigns []assign
 }
-
-const internCap = 4096
 
 // dataMsgChunk is how many envelopes one decoder arena chunk carves.
 const dataMsgChunk = 64
@@ -179,7 +179,7 @@ const dataMsgChunk = 64
 // decodeMessage path) allocates individually instead: a 64-envelope chunk
 // per call would be far worse than the single allocation it replaces.
 func (d *decoder) newData() *dataMsg {
-	if d.procs == nil {
+	if d.names == nil {
 		return &dataMsg{senderIdx: -1}
 	}
 	if len(d.msgs) == 0 {
@@ -192,50 +192,19 @@ func (d *decoder) newData() *dataMsg {
 }
 
 func newDecoder() *decoder {
-	return &decoder{
-		procs:  make(map[string]ids.ProcessID),
-		groups: make(map[string]ids.GroupID),
-	}
+	return &decoder{names: ids.NewInterner()}
 }
 
 // proc reads a length-prefixed process identifier, interned when this
-// decoder carries tables. The string wire format equals the blob format,
+// decoder carries a table. The string wire format equals the blob format,
 // so the raw bytes are probed first and only a table miss converts.
 func (d *decoder) proc(r *wire.Reader) ids.ProcessID {
-	b := r.BlobRef()
-	if len(b) == 0 {
-		return ""
-	}
-	if d.procs != nil {
-		if p, ok := d.procs[string(b)]; ok {
-			return p
-		}
-		p := ids.ProcessID(b)
-		if len(d.procs) < internCap {
-			d.procs[string(p)] = p
-		}
-		return p
-	}
-	return ids.ProcessID(b)
+	return ids.ProcessID(d.names.Intern(r.BlobRef()))
 }
 
 // group reads a length-prefixed group identifier, interned like proc.
 func (d *decoder) group(r *wire.Reader) ids.GroupID {
-	b := r.BlobRef()
-	if len(b) == 0 {
-		return ""
-	}
-	if d.groups != nil {
-		if g, ok := d.groups[string(b)]; ok {
-			return g
-		}
-		g := ids.GroupID(b)
-		if len(d.groups) < internCap {
-			d.groups[string(g)] = g
-		}
-		return g
-	}
-	return ids.GroupID(b)
+	return ids.GroupID(d.names.Intern(r.BlobRef()))
 }
 
 func putProcs(w *wire.Writer, ps []ids.ProcessID) {
@@ -302,7 +271,12 @@ func (d *decoder) getAssigns(r *wire.Reader) []assign {
 	if n == 0 {
 		return nil
 	}
-	out := make([]assign, 0, n)
+	var out []assign
+	if d.names != nil {
+		out = carveAssigns(&d.assigns, int(n))
+	} else {
+		out = make([]assign, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		out = append(out, assign{
 			Sender: d.proc(r),
@@ -310,6 +284,30 @@ func (d *decoder) getAssigns(r *wire.Reader) []assign {
 			Global: r.Uvarint(),
 		})
 	}
+	return out
+}
+
+// assignChunk is how many ordering decisions one arena chunk carves.
+const assignChunk = 256
+
+// carveAssigns returns an empty slice with capacity n carved from the
+// arena, refilling it with a fresh chunk when it runs short. The sequencer
+// piggybacks a few ordering decisions on nearly every message it sends
+// and every member decodes them, so one chunk amortises what used to be
+// an allocation per message. Like decoder.newData, carved slices are
+// never reused — each lives exactly as long as its message — and the
+// capacity is capped at n, so an append can never spill into a
+// neighbour's slots. Oversized requests (a flush's full table) get their
+// own allocation.
+func carveAssigns(arena *[]assign, n int) []assign {
+	if n > assignChunk/4 {
+		return make([]assign, 0, n)
+	}
+	if len(*arena) < n {
+		*arena = make([]assign, assignChunk)
+	}
+	out := (*arena)[:0:n]
+	*arena = (*arena)[n:]
 	return out
 }
 
@@ -370,11 +368,21 @@ func (d *decoder) getDataList(r *wire.Reader) []*dataMsg {
 	return out
 }
 
-// encodeMessage serialises any of the GCS message structs. The writer is
-// pooled: the returned slice is a detached exact-size copy, safe to hand
-// to the transport (which retains payloads by reference).
-func encodeMessage(msg any) []byte {
+// encodeMessage serialises any of the GCS message structs as a bare
+// payload, with no transport header. The writer is pooled: the returned
+// slice is a detached exact-size copy, safe to hand to the transport
+// (which retains payloads by reference).
+func encodeMessage(msg any) []byte { return encodeFrame(transport.Framing{}, msg) }
+
+// encodeFrame is encodeMessage behind the framing's header byte: on a mux
+// channel the encoder writes the channel byte first, so the detached
+// frame goes to the transport without the mux copying it again to
+// prepend one byte.
+func encodeFrame(f transport.Framing, msg any) []byte {
 	w := wire.GetWriter()
+	if hdr, ok := f.Header(); ok {
+		w.Byte(hdr)
+	}
 	switch m := msg.(type) {
 	case *dataMsg:
 		w.Byte(kindData)

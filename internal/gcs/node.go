@@ -39,7 +39,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // endpoint, and all of its groups share one Lamport clock — the property
 // that preserves causality across overlapping groups (paper fig. 7).
 type Node struct {
-	ep      transport.Endpoint
+	ep transport.Endpoint
+	// framing puts encoded frames on ep: behind a mux channel every frame
+	// carries the channel byte and is sent uncopied.
+	framing transport.Framing
 	cfg     NodeConfig
 	clock   *vclock.Lamport
 	dom     *domainRegistry
@@ -81,6 +84,7 @@ func NewNodeCfg(ep transport.Endpoint, o *obs.Obs, cfg NodeConfig) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		ep:       ep,
+		framing:  transport.FramingFor(ep),
 		cfg:      cfg,
 		clock:    vclock.NewLamport(),
 		dom:      newDomainRegistry(),
@@ -97,6 +101,10 @@ func NewNodeCfg(ep transport.Endpoint, o *obs.Obs, cfg NodeConfig) *Node {
 	go n.recvLoop()
 	return n
 }
+
+// encode serialises one protocol message as a frame for this node's
+// endpoint (see encodeFrame); send it with framing.Send.
+func (n *Node) encode(msg any) []byte { return encodeFrame(n.framing, msg) }
 
 // WheelStats exposes the shared timer wheel's instantaneous depth and
 // cumulative sweep cost (for the manygroups scale bench and tests).
@@ -162,7 +170,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 	n.groups[id] = g
 	n.mu.Unlock()
 
-	join := encodeMessage(&joinMsg{Group: id, Joiner: n.ID()})
+	join := n.encode(&joinMsg{Group: id, Joiner: n.ID()})
 	// Join requests are idempotent, so retry briskly: a request can race a
 	// concurrent view change and be parked or dropped.
 	retry := cfg.FlushTimeout / 2
@@ -173,7 +181,7 @@ func (n *Node) Join(ctx context.Context, id ids.GroupID, contact ids.ProcessID, 
 		retry = 50 * time.Millisecond
 	}
 	for {
-		_ = n.ep.Send(contact, join) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
+		_ = n.framing.Send(contact, join) //lint:ok errdrop best-effort: this loop resends the join until accepted or the context ends
 
 		deadline := time.NewTimer(retry)
 		select {

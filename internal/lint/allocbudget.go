@@ -38,6 +38,11 @@ func DefaultAllocBudgets() []AllocBudget {
 		{Entry: "newtop/internal/transport/tcpnet.(*Endpoint).readLoop", Max: 22, Note: "reader: frame split, arena carve, inbound handoff"},
 		{Entry: "newtop/internal/obs/flight.(*Recorder).Record", Max: 3, Note: "flight-recorder event append"},
 		{Entry: "newtop/internal/core.(*Server).serveReadLocal", Max: 20, Note: "leased local read: lease check, session floor, handler run, reply"},
+		{Entry: "newtop/internal/core.(*Binding).InvokeAsync", Max: 82, Note: "open/closed invocation launch: options, waiter, request encode, multicast, reply wait"},
+		{Entry: "newtop/internal/core.(*Server).handleGroupEvent", Max: 73, Note: "replica side: typed decode, execution, reply multicast, reply gather"},
+		{Entry: "newtop/internal/core.(*Server).serveAsRM", Max: 91, Note: "request manager: retry filter, re-multicast, collector, reply-set answer"},
+		{Entry: "newtop/internal/core.decodePayload", Max: 15, Note: "typed decode of one invocation-layer envelope"},
+		{Entry: "newtop/internal/transport.(*muxChannel).Send", Max: 5, Note: "generic mux send: the one framing copy"},
 		{Entry: "newtop/internal/shard.(*Ring).OwnerBytes", Max: 0, Note: "sharded routing: per-invocation key->shard lookup must not allocate"},
 	}
 }

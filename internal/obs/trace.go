@@ -85,14 +85,26 @@ type Trace struct {
 // DefaultTraceCap is the ring capacity used by New/Default.
 const DefaultTraceCap = 128
 
-// Tracer retains the spans of the most recent traces in a ring buffer.
-// Recording is cheap (one mutex, no I/O) but not free: the invocation
-// layer records a handful of spans per call, never one per message.
+// Tracer retains the spans of the most recent traces in a preallocated
+// ring of trace slots. Recording takes one mutex and copies the span into
+// its trace's slot; it allocates nothing once a slot's span buffer has
+// grown to the largest trace it has held, so the invocation layer can
+// record on every call. Starting a trace when the ring is full recycles
+// the slot of the oldest trace.
 type Tracer struct {
-	mu     sync.Mutex
-	cap    int
-	traces map[TraceID]*Trace
-	order  []TraceID // insertion order, for eviction and "recent" listing
+	mu    sync.Mutex
+	slots []traceSlot // ring; the newest slot is slots[(next+len-1)%len]
+	next  int         // slot the next new trace takes
+	count uint64      // traces started, for the slots' start order
+}
+
+// traceSlot holds one trace. spans keeps its capacity across the traces
+// that reuse the slot.
+type traceSlot struct {
+	id    TraceID
+	first time.Time
+	seq   uint64 // start order; 0 = never used
+	spans []Span
 }
 
 // NewTracer returns a tracer retaining the last capacity traces.
@@ -100,7 +112,24 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{cap: capacity, traces: make(map[TraceID]*Trace)}
+	return &Tracer{slots: make([]traceSlot, capacity)}
+}
+
+// slotLocked finds the slot holding a trace, searching from the newest:
+// the spans of one invocation are recorded close together, so the match
+// is nearly always one of the first few slots probed.
+func (t *Tracer) slotLocked(id TraceID) *traceSlot {
+	n := len(t.slots)
+	for i := 1; i <= n; i++ {
+		sl := &t.slots[(t.next-i+n)%n]
+		if sl.seq == 0 {
+			return nil // never-used slots follow: the ring has not wrapped
+		}
+		if sl.id == id {
+			return sl
+		}
+	}
+	return nil
 }
 
 // Record appends one span to its trace, starting (and, at capacity,
@@ -112,21 +141,24 @@ func (t *Tracer) Record(s Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr, ok := t.traces[s.Trace]
-	if !ok {
-		if len(t.order) >= t.cap {
-			oldest := t.order[0]
-			t.order = t.order[1:]
-			delete(t.traces, oldest)
-		}
-		tr = &Trace{ID: s.Trace, First: s.Start}
-		t.traces[s.Trace] = tr
-		t.order = append(t.order, s.Trace)
+	sl := t.slotLocked(s.Trace)
+	if sl == nil {
+		sl = &t.slots[t.next]
+		t.next = (t.next + 1) % len(t.slots)
+		t.count++
+		sl.id, sl.first, sl.seq = s.Trace, s.Start, t.count
+		clear(sl.spans) // drop the evicted trace's string references
+		sl.spans = sl.spans[:0]
 	}
-	if s.Start.Before(tr.First) {
-		tr.First = s.Start
+	if s.Start.Before(sl.first) {
+		sl.first = s.Start
 	}
-	tr.Spans = append(tr.Spans, s)
+	sl.spans = append(sl.spans, s)
+}
+
+// copyLocked snapshots one slot as a Trace.
+func (sl *traceSlot) copyLocked() *Trace {
+	return &Trace{ID: sl.id, First: sl.first, Spans: append([]Span(nil), sl.spans...)}
 }
 
 // Lookup returns a copy of one trace, or nil if it has been evicted (or
@@ -134,12 +166,10 @@ func (t *Tracer) Record(s Span) {
 func (t *Tracer) Lookup(id TraceID) *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr, ok := t.traces[id]
-	if !ok {
-		return nil
+	if sl := t.slotLocked(id); sl != nil {
+		return sl.copyLocked()
 	}
-	cp := &Trace{ID: tr.ID, First: tr.First, Spans: append([]Span(nil), tr.Spans...)}
-	return cp
+	return nil
 }
 
 // Recent returns copies of up to n most recently started traces, newest
@@ -147,13 +177,17 @@ func (t *Tracer) Lookup(id TraceID) *Trace {
 func (t *Tracer) Recent(n int) []*Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n <= 0 || n > len(t.order) {
-		n = len(t.order)
+	size := len(t.slots)
+	if n <= 0 || n > size {
+		n = size
 	}
 	out := make([]*Trace, 0, n)
-	for i := len(t.order) - 1; i >= 0 && len(out) < n; i-- {
-		tr := t.traces[t.order[i]]
-		out = append(out, &Trace{ID: tr.ID, First: tr.First, Spans: append([]Span(nil), tr.Spans...)})
+	for i := 1; i <= size && len(out) < n; i++ {
+		sl := &t.slots[(t.next-i+size)%size]
+		if sl.seq == 0 {
+			break
+		}
+		out = append(out, sl.copyLocked())
 	}
 	return out
 }

@@ -118,3 +118,28 @@ func TestTracerConcurrentRecord(t *testing.T) {
 		t.Fatalf("ring holds %d traces, want cap 8", len(tr.Recent(0)))
 	}
 }
+
+// TestAllocGuardTracerRecord budgets span recording (run by ci.sh's
+// AllocGuard stage): once every slot of the ring has held a trace as
+// large as the ones being recorded, recording copies spans into recycled
+// slots and allocates nothing.
+func TestAllocGuardTracerRecord(t *testing.T) {
+	tr := NewTracer(8)
+	base := time.Unix(0, 0)
+	id := TraceID(0)
+	record := func() {
+		id++
+		for i := 0; i < 6; i++ {
+			tr.Record(Span{Trace: id, Stage: "client.invoke", Proc: "c1", Start: base.Add(time.Duration(i)), Note: "mode=wait-for-all"})
+		}
+	}
+	for i := 0; i < 16; i++ {
+		record()
+	}
+	if avg := testing.AllocsPerRun(500, record); avg != 0 {
+		t.Fatalf("recording a 6-span trace allocates %.1f, budget 0", avg)
+	}
+	if got := tr.Lookup(id); got == nil || len(got.Spans) != 6 {
+		t.Fatalf("latest trace not retained whole: %+v", got)
+	}
+}

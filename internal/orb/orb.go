@@ -70,6 +70,9 @@ type response struct {
 // ORB is one process's object request broker.
 type ORB struct {
 	ep transport.Endpoint
+	// framing puts encoded frames on ep: behind a mux channel every frame
+	// carries the channel byte and is sent uncopied.
+	framing transport.Framing
 
 	// requests counts inbound invocations dispatched to servants;
 	// dispatch is the servant execution latency; inflightHigh is the
@@ -97,6 +100,7 @@ func New(ep transport.Endpoint) *ORB { return NewObs(ep, obs.Default()) }
 func NewObs(ep transport.Endpoint, ob *obs.Obs) *ORB {
 	o := &ORB{
 		ep:           ep,
+		framing:      transport.FramingFor(ep),
 		requests:     ob.Reg.Counter("orb_requests"),
 		dispatchLat:  ob.Reg.Histogram("orb_dispatch_latency"),
 		inflightHigh: ob.Reg.Gauge("orb_inflight_highwater"),
@@ -106,6 +110,16 @@ func NewObs(ep transport.Endpoint, ob *obs.Obs) *ORB {
 	}
 	go o.recvLoop()
 	return o
+}
+
+// frameWriter returns a pooled writer primed with the endpoint's frame
+// header, if any (see transport.Framing).
+func (o *ORB) frameWriter() *wire.Writer {
+	w := wire.GetWriter()
+	if hdr, ok := o.framing.Header(); ok {
+		w.Byte(hdr)
+	}
+	return w
 }
 
 // ID returns the hosting process identifier.
@@ -148,7 +162,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 		o.mu.Unlock()
 	}()
 
-	w := wire.GetWriter()
+	w := o.frameWriter()
 	w.Byte(kindRequest)
 	w.Uvarint(reqID)
 	w.String(ref.Object)
@@ -157,7 +171,7 @@ func (o *ORB) Invoke(ctx context.Context, ref Ref, method string, args []byte) (
 	// Transports retain the frame by reference, so detach before recycling.
 	frame := w.Detach()
 	wire.PutWriter(w)
-	if err := o.ep.Send(ref.Target, frame); err != nil {
+	if err := o.framing.Send(ref.Target, frame); err != nil {
 		return nil, fmt.Errorf("invoke %s: %w", ref, err)
 	}
 
@@ -179,7 +193,7 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, args []byte) error {
 	}
 	o.mu.Unlock()
 
-	w := wire.GetWriter()
+	w := o.frameWriter()
 	w.Byte(kindOneWay)
 	w.Uvarint(0)
 	w.String(ref.Object)
@@ -187,7 +201,7 @@ func (o *ORB) InvokeOneWay(ref Ref, method string, args []byte) error {
 	w.Blob(args)
 	frame := w.Detach()
 	wire.PutWriter(w)
-	if err := o.ep.Send(ref.Target, frame); err != nil {
+	if err := o.framing.Send(ref.Target, frame); err != nil {
 		return fmt.Errorf("invoke oneway %s: %w", ref, err)
 	}
 	return nil
@@ -286,7 +300,7 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 	if kind == kindOneWay {
 		return
 	}
-	w := wire.GetWriter()
+	w := o.frameWriter()
 	w.Byte(kindReply)
 	w.Uvarint(reqID)
 	if err != nil {
@@ -300,5 +314,5 @@ func (o *ORB) serve(from ids.ProcessID, kind byte, reqID uint64, object string, 
 	}
 	frame := w.Detach()
 	wire.PutWriter(w)
-	_ = o.ep.Send(from, frame) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
+	_ = o.framing.Send(from, frame) //lint:ok errdrop best-effort: a lost reply looks like a lost request, and the client retries
 }

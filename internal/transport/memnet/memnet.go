@@ -179,6 +179,11 @@ type timedMsg struct {
 // link is the unidirectional FIFO pipe to one destination. A dedicated
 // goroutine sleeps until each message's delivery time, preserving per-link
 // order even under jitter.
+//
+// The queue is a sliding window over one backing array, as in
+// queue.FIFO: head indexes the front message and pops advance it in
+// place, so a link in steady state reuses its capacity instead of
+// abandoning the popped prefix and growing a fresh array on every push.
 type link struct {
 	net *Net
 	to  ids.ProcessID
@@ -186,6 +191,7 @@ type link struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	q       []timedMsg
+	head    int // index of the front message; len(q)-head are queued
 	lastAt  time.Time
 	closed  bool
 	done    chan struct{}
@@ -210,6 +216,13 @@ func (l *link) push(m timedMsg) {
 		m.deliverAt = l.lastAt
 	}
 	l.lastAt = m.deliverAt
+	if l.head > 0 && len(l.q) == cap(l.q) {
+		// Out of tail room: slide the live window back to the base.
+		n := copy(l.q, l.q[l.head:])
+		clear(l.q[n:])
+		l.q = l.q[:n]
+		l.head = 0
+	}
 	l.q = append(l.q, m)
 	l.cond.Signal()
 }
@@ -227,21 +240,32 @@ func (l *link) close() {
 
 func (l *link) run() {
 	defer close(l.done)
+	// One timer per link, re-armed for each delayed message.
+	var timer *time.Timer
 	for {
 		l.mu.Lock()
-		for len(l.q) == 0 && !l.closed {
+		for len(l.q) == l.head && !l.closed {
 			l.cond.Wait()
 		}
 		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		m := l.q[0]
-		l.q = l.q[1:]
+		m := l.q[l.head]
+		l.q[l.head] = timedMsg{} // release the payload for GC
+		l.head++
+		if l.head == len(l.q) {
+			l.q = l.q[:0]
+			l.head = 0
+		}
 		l.mu.Unlock()
 
 		if wait := time.Until(m.deliverAt); wait > 0 {
-			timer := time.NewTimer(wait)
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait) // drained: the last wait consumed timer.C
+			}
 			select {
 			case <-timer.C:
 			case <-l.closeCh:

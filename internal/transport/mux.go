@@ -110,14 +110,36 @@ type muxChannel struct {
 	fifo  *FIFO
 }
 
-var _ Endpoint = (*muxChannel)(nil)
+var (
+	_ Endpoint    = (*muxChannel)(nil)
+	_ FrameSender = (*muxChannel)(nil)
+)
 
 func (c *muxChannel) ID() ids.ProcessID { return c.mux.ep.ID() }
 
+// Send transmits a payload on this channel. The mux needs the channel byte
+// in front of the payload, so Send copies it into a fresh frame; layers
+// that build their own frames use SendFrame instead and skip the copy.
 func (c *muxChannel) Send(to ids.ProcessID, payload []byte) error {
 	framed := make([]byte, 1+len(payload))
 	framed[0] = c.proto
 	copy(framed[1:], payload)
+	return c.send(to, framed)
+}
+
+// FrameByte implements FrameSender.
+func (c *muxChannel) FrameByte() byte { return c.proto }
+
+// SendFrame implements FrameSender: the frame already starts with the
+// channel byte and goes to the underlying endpoint as is.
+func (c *muxChannel) SendFrame(to ids.ProcessID, frame []byte) error {
+	if len(frame) == 0 || frame[0] != c.proto {
+		return ErrBadFrame
+	}
+	return c.send(to, frame)
+}
+
+func (c *muxChannel) send(to ids.ProcessID, framed []byte) error {
 	err := c.mux.ep.Send(to, framed)
 	if err != nil {
 		c.mux.metrics.dropped()
